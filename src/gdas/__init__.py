@@ -9,7 +9,6 @@ unknown a softmax bandit picks among candidate Gaussian models.
 
 from . import access, bandit, config, engine, experiments, models, presets, validate
 from .access import (
-    ChannelConfig,
     RoundOutcome,
     aloha_round,
     crossover_check,
@@ -23,7 +22,6 @@ from .access import (
 from .bandit import (
     BanditState,
     new_bandit_state,
-    record_selection,
     round_cost,
     round_cost_from_state,
     select_model,

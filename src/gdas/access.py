@@ -17,47 +17,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
-    """Uploading setup: channel count, access mode, and success probability.
-
-    Give either a direct probability ``p`` or the physical triple
-    (``snr_threshold``, ``snr_avg``, ``availability``); scalars apply to all
-    nodes alike.
-    """
-
-    n_channels: int
-    mode: str
-    p: float | None = None
-    snr_threshold: float | None = None
-    snr_avg: float | None = None
-    availability: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
-        if self.mode not in ("polling", "aloha"):
-            raise ValueError(f"mode must be 'polling' or 'aloha', got {self.mode!r}")
-        physical = (self.snr_threshold, self.snr_avg, self.availability)
-        if self.p is None:
-            if any(v is None for v in physical):
-                raise ValueError("give either p or all of snr_threshold/snr_avg/availability")
-            if self.snr_threshold <= 0 or self.snr_avg <= 0:
-                raise ValueError("snr_threshold and snr_avg must be > 0")
-            if not 0.0 <= self.availability <= 1.0:
-                raise ValueError("availability must lie in [0, 1]")
-        else:
-            if any(v is not None for v in physical):
-                raise ValueError("give either p or the physical triple, not both")
-            if not 0.0 <= self.p <= 1.0:
-                raise ValueError("p must lie in [0, 1]")
-
-    def upload_prob(self) -> float:
-        if self.p is not None:
-            return float(self.p)
-        return uploading_probability(self.snr_threshold, self.snr_avg, self.availability)
-
-
-@dataclass(frozen=True)
 class RoundOutcome:
     """What happened in a single access round.
 

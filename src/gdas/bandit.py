@@ -25,17 +25,12 @@ DEGENERATE_COST_EPS = 1e-12
 
 @dataclass(frozen=True)
 class BanditState:
-    """Per-arm cost accumulators plus the selection history.
-
-    ``true_model`` is simulation ground truth, never read by selection.
-    """
+    """Per-arm cost accumulators."""
 
     arms: int
     cost_sum: np.ndarray
     count: np.ndarray
     tau: float
-    history: tuple[int, ...] = ()
-    true_model: int | None = None
 
     def __post_init__(self) -> None:
         cost_sum = np.asarray(self.cost_sum, dtype=float)
@@ -53,7 +48,7 @@ class BanditState:
         return out
 
 
-def new_bandit_state(arms: int, tau: float, true_model: int | None = None) -> BanditState:
+def new_bandit_state(arms: int, tau: float) -> BanditState:
     if arms < 2:
         raise ValueError("arms must be >= 2")
     if tau <= 0.0:
@@ -63,8 +58,6 @@ def new_bandit_state(arms: int, tau: float, true_model: int | None = None) -> Ba
         cost_sum=np.zeros(arms),
         count=np.zeros(arms, dtype=np.int64),
         tau=float(tau),
-        history=(),
-        true_model=true_model,
     )
 
 
@@ -149,13 +142,6 @@ def select_model(state: BanditState, t: int, rng: np.random.Generator) -> int:
         return int(unseen[0]) + 1
     probs = softmax_probs(state)
     return int(rng.choice(state.arms, p=probs)) + 1
-
-
-def record_selection(state: BanditState, m: int) -> BanditState:
-    """Append the played arm to the history (costs untouched)."""
-    if not 1 <= m <= state.arms:
-        raise ValueError(f"model label must lie in 1..{state.arms}")
-    return replace(state, history=state.history + (int(m),))
 
 
 def update(state: BanditState, m: int, cost: float) -> BanditState:

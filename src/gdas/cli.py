@@ -21,7 +21,17 @@ from .experiments import (
     write_sweep_csv,
 )
 from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS, preset_names
-from .validate import DEFAULT_SEED, ROUNDS_ALOHA_WINDOW, ROUNDS_POLLING_WINDOW, run_all
+from .validate import (
+    DEFAULT_SEED,
+    ROUNDS_ALOHA_WINDOW,
+    ROUNDS_POLLING_WINDOW,
+    UNIFORM_FREQ,
+    UNIFORM_TOL,
+    near_uniform,
+    run_all,
+    true_model_freqs,
+    true_model_leads,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -46,14 +56,22 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **overrides) if overrides else scenario
 
 
-def _scenarios_for_run(args) -> list[tuple[str, Scenario]]:
+def _preset_or_config(args, presets: dict, kind: str):
+    """The ``--preset`` entry of ``presets``, or None when ``--config`` was given."""
     if (args.config is None) == (args.preset is None):
         raise SystemExit("give exactly one of --config or --preset")
-    if args.config is not None:
+    if args.preset is None:
+        return None
+    if args.preset not in presets:
+        raise SystemExit(f"unknown {kind} preset {args.preset!r}; have {preset_names()[kind]}")
+    return presets[args.preset]
+
+
+def _scenarios_for_run(args) -> list[tuple[str, Scenario]]:
+    preset = _preset_or_config(args, RUN_PRESETS, "run")
+    if preset is None:
         return [("scenario", load_scenario(args.config))]
-    if args.preset not in RUN_PRESETS:
-        raise SystemExit(f"unknown run preset {args.preset!r}; have {preset_names()['run']}")
-    return list(RUN_PRESETS[args.preset])
+    return list(preset)
 
 
 def _write(out: Path | None, name: str, writer, payload) -> None:
@@ -99,14 +117,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if (args.config is None) == (args.preset is None):
-        raise SystemExit("give exactly one of --config or --preset")
-    if args.preset is not None:
-        if args.preset not in SWEEP_PRESETS:
-            raise SystemExit(
-                f"unknown sweep preset {args.preset!r}; have {preset_names()['sweep']}"
-            )
-        scenario, param, values = SWEEP_PRESETS[args.preset]
+    preset = _preset_or_config(args, SWEEP_PRESETS, "sweep")
+    if preset is not None:
+        scenario, param, values = preset
     else:
         scenario = load_scenario(args.config)
         param = args.param
@@ -124,8 +137,9 @@ def cmd_sweep(args) -> int:
     _write(args.out, f"sweep_{param}.csv", write_sweep_csv, result)
     if args.check:
         bad = [
-            pt for pt in result.points
-            if pt.aloha_better != (pt.value < math.exp(-1.0)) and param == "p"
+            f"p={pt.value:g}: winner differs from the 1/e crossover prediction"
+            for pt in result.points
+            if param == "p" and pt.aloha_better != pt.aloha_favored_predicted
         ]
         if param == "N":
             mses = [pt.aloha_mse for pt in result.points]
@@ -143,15 +157,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bandit(args) -> int:
-    if (args.config is None) == (args.preset is None):
-        raise SystemExit("give exactly one of --config or --preset")
-    if args.preset is not None:
-        if args.preset not in BANDIT_PRESETS:
-            raise SystemExit(
-                f"unknown bandit preset {args.preset!r}; have {preset_names()['bandit']}"
-            )
-        scenario = BANDIT_PRESETS[args.preset]
-    else:
+    scenario = _preset_or_config(args, BANDIT_PRESETS, "bandit")
+    if scenario is None:
         scenario = load_scenario(args.config)
     scenario = _apply_overrides(scenario, args)
     result = run_bandit_scenario(scenario)
@@ -177,19 +184,17 @@ def cmd_bandit(args) -> int:
 def _check_bandit(preset: str | None, result: BanditResult) -> list[str]:
     if preset is None:
         raise SystemExit("--check is defined for bandit presets only")
-    arms = result.scenario.M
-    freq = result.selection_frequency()
-    horizon = len(freq[1])
     problems = []
     if preset == "bandit-tau1":
-        for t in range(2 * arms, horizon):
-            others = max(freq[m][t] for m in range(2, arms + 1))
-            if freq[1][t] <= others:
-                problems.append(f"round {t}: true-model frequency {freq[1][t]:.3f} not leading")
+        for t, lead in true_model_leads(result).items():
+            if lead <= 0:
+                problems.append(f"round {t}: true model not leading (lead {lead:.3f})")
     elif preset == "bandit-tau20":
-        for t in range(2 * arms, horizon):
-            if abs(freq[1][t] - 0.2) > 0.07:
-                problems.append(f"round {t}: frequency {freq[1][t]:.3f} outside 0.2+-0.07")
+        for t, freq in true_model_freqs(result).items():
+            if not near_uniform(freq):
+                problems.append(
+                    f"round {t}: frequency {freq:.3f} outside {UNIFORM_FREQ}+-{UNIFORM_TOL}"
+                )
     elif preset == "mismatch":
         for row in result.summary_rows():
             emp = row["mean_sqerr_delivered"]

@@ -12,30 +12,22 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .experiments import Scenario
 
-_INT_KEYS = {"K", "N", "kbar", "T", "runs", "M", "true_model", "fixed_model", "seed", "family_J"}
-_FLOAT_KEYS = {"rho", "p", "tau", "snr_threshold", "snr_avg", "availability", "family_noise"}
-_STR_KEYS = {"mode", "q_policy", "first_round"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-_CANONICAL = {k.lower(): k for k in _ALL_KEYS}
-
-# p defaults to 0.2 in Scenario; configs that switch to the physical triple
-# must be able to clear it.
-_NULLABLE = {"p", "snr_threshold", "snr_avg", "availability", "kbar", "T", "runs", "fixed_model"}
+# Each key's base type and nullability come from its Scenario annotation.
+_TYPES = get_type_hints(Scenario)
+_CANONICAL = {f.name.lower(): f.name for f in fields(Scenario)}
 
 
 def _coerce(key: str, raw: str):
+    kinds = get_args(_TYPES[key]) or (_TYPES[key],)
     if raw.lower() in ("none", "null"):
-        if key not in _NULLABLE:
+        if type(None) not in kinds:
             raise ValueError(f"{key} cannot be none")
         return None
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+    return kinds[0](raw)
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -53,6 +45,8 @@ def parse_scenario_text(text: str) -> Scenario:
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key_raw!r}")
         values[key] = _coerce(key, val_raw)
+    # p defaults to 0.2 in Scenario; configs that switch to the physical
+    # triple clear it.
     if "p" not in values and any(k in values for k in ("snr_threshold", "snr_avg", "availability")):
         values["p"] = None
     return Scenario(**values)

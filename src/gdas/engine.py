@@ -41,10 +41,6 @@ class SelectionCost:
     nu: float
     r_norm_sq: float
 
-    @property
-    def components(self) -> tuple[float, float, float]:
-        return (self.beta, self.nu, self.r_norm_sq)
-
 
 @dataclass(frozen=True)
 class SensingState:
@@ -63,10 +59,6 @@ class SensingState:
     @property
     def known_nodes(self) -> tuple[int, ...]:
         return self.cond.known_idx
-
-    @property
-    def unknown_nodes(self) -> np.ndarray:
-        return self.cond.unknown_idx
 
     @property
     def known_count(self) -> int:

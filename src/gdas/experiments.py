@@ -9,7 +9,7 @@ the selection engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,9 +24,9 @@ from .access import (
     uploading_probability,
 )
 from .bandit import (
+    BanditState,
     new_bandit_state,
     prediction_error_terms,
-    record_selection,
     select_model,
     softmax_probs,
     update,
@@ -255,7 +255,7 @@ class RunResult:
         }
 
 
-def _block_size(K: int, arms: int = 1) -> int:
+def _block_size(K: int, arms: int) -> int:
     """Runs per lockstep block: ``arms + 1`` K x K posteriors per run fit ``BLOCK_BYTES``."""
     return max(1, BLOCK_BYTES // (8 * K * K * (arms + 1)))
 
@@ -265,90 +265,158 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     Every run stops once ``kbar`` measurements have accumulated (or at the
     round limit); its stop round is the number of rounds executed.
-
-    Runs advance in lockstep blocks of ``_block_size(K)`` so that one
-    ``select_nodes`` call picks for the whole block each round.  Each run
-    still draws from its own generator in its own order, so the output is
-    the same as running the runs one after another.
     """
     if scenario.mode not in ("polling", "aloha"):
         raise ValueError("run_scenario handles polling/aloha; use run_bandit_scenario")
     model = build_ar1_model(scenario.K, scenario.rho)
-    draw = _sampler(model)
+    return RunResult(scenario, *_run_all(scenario, [model], 0))
+
+
+def _run_all(
+    scenario: Scenario, models: list[GaussianModel], true_idx: int
+) -> tuple[list[RoundRecord], list[int | None]]:
+    """Records in (run, t) order and stop rounds of every run of ``scenario``.
+
+    Runs advance in lockstep blocks of ``_block_size(K, arms)`` so that one
+    ``select_nodes`` call picks for the whole block each round.  Each run
+    still draws from its own generator in its own order, so the output is
+    the same as running the runs one after another.
+    """
+    draw = _sampler(models[true_idx])
     runs = scenario.run_count
-    block = _block_size(scenario.K)
+    block = _block_size(scenario.K, len(models))
     records: list[RoundRecord] = []
     stop_rounds: list[int | None] = []
     for first in range(0, runs, block):
         run_ids = list(range(first, min(first + block, runs)))
-        recs, stops = _run_block(scenario, model, draw, run_ids)
+        recs, stops = _run_block(scenario, models, true_idx, draw, run_ids)
         records += recs
         stop_rounds += stops
-    return RunResult(scenario, records, stop_rounds)
+    return records, stop_rounds
+
+
+def _one_hot(arms: int, m: int) -> tuple[float, ...]:
+    probs = [0.0] * arms
+    probs[m - 1] = 1.0
+    return tuple(probs)
+
+
+def _choose_arm(
+    scenario: Scenario, bst: BanditState, t: int, rng: np.random.Generator
+) -> tuple[int, tuple[float, ...]]:
+    """The model a bandit run plays at round ``t`` and the probabilities it records."""
+    if scenario.fixed_model is not None:
+        return scenario.fixed_model, _one_hot(bst.arms, scenario.fixed_model)
+    forced = t < bst.arms or bool(np.any(bst.count == 0))
+    m = select_model(bst, t, rng)
+    return m, _one_hot(bst.arms, m) if forced else tuple(softmax_probs(bst))
 
 
 def _run_block(
     scenario: Scenario,
-    model: GaussianModel,
+    models: list[GaussianModel],
+    true_idx: int,
     draw: Callable[[np.random.Generator], np.ndarray],
     run_ids: list[int],
 ) -> tuple[list[RoundRecord], list[int | None]]:
-    """Records in (run, t) order and stop rounds of the runs ``run_ids``."""
+    """Records in (run, t) order and stop rounds of the runs ``run_ids``.
+
+    Each run keeps one posterior per arm, all fed the same deliveries:
+    polling and ALOHA runs have one arm, bandit runs one per model, and
+    records report the posterior of arm ``true_idx``.
+    """
     p = scenario.upload_p
     N = scenario.N
     kbar = scenario.stop_threshold
     rule = "topq" if scenario.q_policy == "topq" else "greedy"
     access = polling_round if scenario.mode == "polling" else aloha_round
+    bandit = scenario.mode == "bandit"
     random_start = scenario.first_round == "random"
 
     rngs = [_run_rng(scenario.seed, run) for run in run_ids]
     xs = [draw(rng) for rng in rngs]
-    states = [initial_state(model, x) for x in xs]
+    arm_states = [[initial_state(model, x) for model in models] for x in xs]
+    bsts = [new_bandit_state(len(models), scenario.tau) for _ in run_ids] if bandit else None
+    arm = [1] * len(run_ids)
+    probs: list[tuple[float, ...] | None] = [None] * len(run_ids)
     run_records: list[list[RoundRecord]] = [[] for _ in run_ids]
     stops: list[int | None] = [None] * len(run_ids)
-    # Each run's last picks, kept while its rounds deliver nothing: the
-    # posterior and the request count, and so the picks, are then unchanged.
-    last: list[list[int] | None] = [None] * len(run_ids)
+    # Each run's last (arm, picks), kept while its rounds deliver nothing:
+    # that arm's posterior and the request count, and so its picks, are
+    # then unchanged.
+    last: list[tuple[int, list[int]] | None] = [None] * len(run_ids)
     active = list(range(len(run_ids)))
     for t in range(scenario.rounds_limit):
-        active = [i for i in active if states[i].unknown_count]
+        active = [i for i in active if arm_states[i][0].unknown_count]
         if not active:
             break
+        if bandit:
+            for i in active:
+                arm[i], probs[i] = _choose_arm(scenario, bsts[i], t, rngs[i])
         if t == 0 and random_start:
             requests = [
-                _first_request(scenario, _round_q(scenario, p, states[i].unknown_count), rngs[i])
+                _first_request(
+                    scenario, _round_q(scenario, p, arm_states[i][0].unknown_count), rngs[i]
+                )
                 for i in active
             ]
         else:
-            stale = [i for i in active if last[i] is None]
-            qs = [_round_q(scenario, p, states[i].unknown_count) for i in stale]
-            for i, picks in zip(stale, select_nodes([states[i] for i in stale], qs, rule=rule)):
-                last[i] = picks
-            requests = [last[i] for i in active]
+            stale = [i for i in active if last[i] is None or last[i][0] != arm[i]]
+            qs = [_round_q(scenario, p, arm_states[i][0].unknown_count) for i in stale]
+            chosen = [arm_states[i][arm[i] - 1] for i in stale]
+            for i, picks in zip(stale, select_nodes(chosen, qs, rule=rule)):
+                last[i] = (arm[i], picks)
+            requests = [last[i][1] for i in active]
         still = []
         for i, requested in zip(active, requests):
-            st = states[i]
-            known_before = st.known_count
+            m = arm[i]
+            states = arm_states[i]
+            known_before = states[0].known_count
             outcome = access(requested, N, p, rngs[i])
-            if outcome.delivered:
-                last[i] = None
             x = xs[i]
-            st = ingest(st, {n: float(x[n - 1]) for n in outcome.delivered})
-            states[i] = st
+            delivered = list(outcome.delivered)
+            vals = [float(x[n - 1]) for n in delivered]
+            if delivered:
+                last[i] = None
+            extra = {}
+            if bandit:
+                if delivered:
+                    sqerr_d, expected_d = prediction_error_terms(
+                        states[m - 1].cond, delivered, vals
+                    )
+                    _, expected_true = prediction_error_terms(
+                        states[true_idx].cond, delivered, vals
+                    )
+                    cost = sqerr_d / expected_d
+                    if scenario.fixed_model is None:
+                        bsts[i] = update(bsts[i], m, cost)
+                else:
+                    sqerr_d = expected_true = cost = float("nan")
+                extra = dict(
+                    model=m,
+                    cost=cost,
+                    sqerr_delivered=sqerr_d,
+                    mse_delivered_true=expected_true,
+                    probs=probs[i],
+                )
+            payload = dict(zip(delivered, vals))
+            states = [ingest(st, payload) for st in states]
+            arm_states[i] = states
             run_records[i].append(
                 RoundRecord(
                     run=run_ids[i],
                     t=t,
                     known_before=known_before,
-                    mse_theory=st.mse_theory,
-                    sqerr_actual=st.sqerr_actual,
-                    delivered=len(outcome.delivered),
+                    mse_theory=states[true_idx].mse_theory,
+                    sqerr_actual=states[true_idx].sqerr_actual,
+                    delivered=len(delivered),
                     collided=len(outcome.collided_channels),
+                    **extra,
                 )
             )
-            if st.known_count >= kbar:
+            if states[0].known_count >= kbar:
                 stops[i] = t + 1
-                states[i] = None
+                arm_states[i] = None
             else:
                 still.append(i)
         active = still
@@ -442,12 +510,6 @@ class BanditResult:
         }
 
 
-def _one_hot(arms: int, m: int) -> tuple[float, ...]:
-    probs = [0.0] * arms
-    probs[m - 1] = 1.0
-    return tuple(probs)
-
-
 def run_bandit_scenario(scenario: Scenario) -> BanditResult:
     """Model selection over ALOHA uploading.
 
@@ -456,119 +518,14 @@ def run_bandit_scenario(scenario: Scenario) -> BanditResult:
     arm the normalized prediction error of what arrived, then fold the
     deliveries into every arm's posterior (the observation pool is shared).
     With ``fixed_model`` set, that arm is played every round and no costs
-    accumulate: this is the mismatched-model baseline.
-
-    Runs advance in lockstep blocks, as in ``run_scenario``; a block holds
-    the posteriors of all M arms of each of its runs.
+    accumulate: this is the mismatched-model baseline.  ``q_policy`` sets
+    the request count as in ALOHA mode.
     """
     if scenario.mode != "bandit":
         raise ValueError("run_bandit_scenario needs mode='bandit'")
     family = build_model_family(scenario.K, scenario.family_J, scenario.family_noise)
     models = family[: scenario.M]
-    draw = _sampler(models[scenario.true_model - 1])
-    runs = scenario.run_count
-    block = _block_size(scenario.K, scenario.M)
-    records: list[RoundRecord] = []
-    stop_rounds: list[int | None] = []
-    for first in range(0, runs, block):
-        run_ids = list(range(first, min(first + block, runs)))
-        recs, stops = _run_bandit_block(scenario, models, draw, run_ids)
-        records += recs
-        stop_rounds += stops
-    return BanditResult(scenario, records, stop_rounds)
-
-
-def _run_bandit_block(
-    scenario: Scenario,
-    models: list[GaussianModel],
-    draw: Callable[[np.random.Generator], np.ndarray],
-    run_ids: list[int],
-) -> tuple[list[RoundRecord], list[int | None]]:
-    """Records in (run, t) order and stop rounds of the bandit runs ``run_ids``."""
-    p = scenario.upload_p
-    N = scenario.N
-    M = scenario.M
-    kbar = scenario.stop_threshold
-    true_idx = scenario.true_model - 1
-    random_start = scenario.first_round == "random"
-
-    rngs = [_run_rng(scenario.seed, run) for run in run_ids]
-    xs = [draw(rng) for rng in rngs]
-    arm_states = [[initial_state(model, x) for model in models] for x in xs]
-    bsts = [new_bandit_state(M, scenario.tau, scenario.true_model) for _ in run_ids]
-    run_records: list[list[RoundRecord]] = [[] for _ in run_ids]
-    stops: list[int | None] = [None] * len(run_ids)
-    active = list(range(len(run_ids)))
-    for t in range(scenario.rounds_limit):
-        active = [i for i in active if arm_states[i][0].unknown_count]
-        if not active:
-            break
-        played = []
-        for i in active:
-            if scenario.fixed_model is not None:
-                m = scenario.fixed_model
-                probs = _one_hot(M, m)
-            else:
-                bst = bsts[i]
-                forced = t < M or bool(np.any(bst.count == 0))
-                m = select_model(bst, t, rngs[i])
-                probs = _one_hot(M, m) if forced else tuple(softmax_probs(bst))
-                bsts[i] = record_selection(bst, m)
-            played.append((m, probs))
-        qs = [optimal_q(N, p, arm_states[i][0].unknown_count) for i in active]
-        if t == 0 and random_start:
-            requests = [_first_request(scenario, q, rngs[i]) for i, q in zip(active, qs)]
-        else:
-            chosen = [arm_states[i][m - 1] for i, (m, _) in zip(active, played)]
-            requests = select_nodes(chosen, qs)
-        still = []
-        for i, (m, probs), requested in zip(active, played, requests):
-            states = arm_states[i]
-            known_before = states[0].known_count
-            outcome = aloha_round(requested, N, p, rngs[i])
-            x = xs[i]
-            delivered = list(outcome.delivered)
-            vals = [float(x[n - 1]) for n in delivered]
-            if delivered:
-                sqerr_d, expected_d = prediction_error_terms(
-                    states[m - 1].cond, delivered, vals
-                )
-                _, expected_true = prediction_error_terms(
-                    states[true_idx].cond, delivered, vals
-                )
-                cost = sqerr_d / expected_d
-                if scenario.fixed_model is None:
-                    bsts[i] = update(bsts[i], m, cost)
-            else:
-                sqerr_d = float("nan")
-                expected_true = float("nan")
-                cost = float("nan")
-            payload = dict(zip(delivered, vals))
-            states = [ingest(st, payload) for st in states]
-            arm_states[i] = states
-            run_records[i].append(
-                RoundRecord(
-                    run=run_ids[i],
-                    t=t,
-                    known_before=known_before,
-                    mse_theory=states[true_idx].mse_theory,
-                    sqerr_actual=states[true_idx].sqerr_actual,
-                    delivered=len(delivered),
-                    collided=len(outcome.collided_channels),
-                    model=m,
-                    cost=cost,
-                    sqerr_delivered=sqerr_d,
-                    mse_delivered_true=expected_true,
-                    probs=probs,
-                )
-            )
-            if states[0].known_count >= kbar:
-                stops[i] = t + 1
-                arm_states[i] = None
-            else:
-                still.append(i)
-        active = still
-    return [rec for recs in run_records for rec in recs], stops
+    return BanditResult(scenario, *_run_all(scenario, models, scenario.true_model - 1))
 
 
 def _per_round_summary(records: Sequence[RoundRecord], arms: int | None) -> list[dict]:
@@ -690,7 +647,7 @@ def write_summary_csv(path, result: RunResult | BanditResult) -> None:
     if isinstance(result, RunResult):
         parts = [f"{k}={_fmt(v)}" for k, v in result.bounds().items()]
         parts.append(f"mean_stop_round={_fmt(result.mean_stop_round)}")
-        parts.append(f"censored_runs={sum(1 for v in result.stop_rounds if v is None)}")
+        parts.append(f"censored_runs={result.censored_runs}")
         header_extra = " " + " ".join(parts)
     columns = list(rows[0].keys()) if rows else ["t"]
     lines = [f"# {SUMMARY_SCHEMA} {_scenario_tag(s)}{header_extra}", ",".join(columns)]
@@ -701,34 +658,13 @@ def write_summary_csv(path, result: RunResult | BanditResult) -> None:
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
-    columns = [
-        "param",
-        "value",
-        "polling_mse",
-        "polling_sqerr",
-        "aloha_mse",
-        "aloha_sqerr",
-        "aloha_better",
-        "aloha_favored_predicted",
-    ]
+    """One row per sweep point; the columns are the ``SweepPoint`` fields."""
+    columns = [f.name for f in fields(SweepPoint)]
     lines = [
         f"# {SWEEP_SCHEMA} param={result.param} {_scenario_tag(result.scenario)}",
         ",".join(columns),
     ]
     for pt in result.points:
-        lines.append(
-            ",".join(
-                [
-                    pt.param,
-                    _fmt(pt.value),
-                    _fmt(pt.polling_mse),
-                    _fmt(pt.polling_sqerr),
-                    _fmt(pt.aloha_mse),
-                    _fmt(pt.aloha_sqerr),
-                    _fmt(pt.aloha_better),
-                    _fmt(pt.aloha_favored_predicted),
-                ]
-            )
-        )
+        lines.append(",".join([pt.param] + [_fmt(getattr(pt, c)) for c in columns[1:]]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -116,10 +116,6 @@ class ConditionalState:
     def num_unknown(self) -> int:
         return self.unknown_idx.shape[0]
 
-    def unknown_position(self, node: int) -> int:
-        """Position of ``node`` inside the unknown subvector (raises if observed)."""
-        return int(self.unknown_positions([node])[0])
-
     def unknown_positions(self, nodes: Sequence[int]) -> np.ndarray:
         """Positions of ``nodes`` inside the unknown subvector.
 

@@ -15,7 +15,7 @@ import numpy as np
 from .access import aloha_round, expected_successes
 from .bandit import round_cost_from_state, softmax_probs, new_bandit_state, update
 from .engine import ingest, initial_state, polling_order, select_nodes
-from .experiments import Scenario, run_bandit_scenario, run_scenario, sweep
+from .experiments import BanditResult, Scenario, run_bandit_scenario, run_scenario, sweep
 from .models import GaussianModel, build_ar1_model, condition, rank_one_condition
 
 DEFAULT_SEED = 20260808
@@ -118,8 +118,7 @@ def check_crossover(seed: int = DEFAULT_SEED) -> CheckResult:
     parts = []
     ok = True
     for pt in table.points:
-        want_aloha = pt.value < math.exp(-1.0)
-        good = pt.aloha_better == want_aloha
+        good = pt.aloha_better == pt.aloha_favored_predicted
         ok = ok and good
         parts.append(
             f"p={pt.value:g}: aloha {pt.aloha_mse:.3g} vs polling {pt.polling_mse:.3g}"
@@ -158,12 +157,8 @@ def check_conditioning_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
         if not np.array_equal(state.unknown_idx, batch.unknown_idx):
             return _result("4 conditioning-equivalence", started, False, "unknown sets differ")
     ok = worst <= 1e-8
-    return _result(
-        "4 conditioning-equivalence",
-        started,
-        ok,
-        f"max entrywise |incremental - batch| = {worst:.2e} <= 1e-8 over 200 models",
-    )
+    detail = _compare(f"max entrywise |incremental - batch| = {worst:.2e}", ok, "<=", "1e-8")
+    return _result("4 conditioning-equivalence", started, ok, detail + " over 200 models")
 
 
 def _brute_force_best(model: GaussianModel, known: list[int], vals: list[float]) -> int:
@@ -232,11 +227,12 @@ def check_greedy_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
             worst_ratio = max(worst_ratio, achieved / best)
 
     pair_ratio = achieved_sum / optimum_sum
-    ok = single_hits == single_trials and pair_ratio <= 1.05
+    pair_ok = pair_ratio <= 1.05
+    ok = single_hits == single_trials and pair_ok
     detail = (
         f"single-pick agreement {single_hits}/{single_trials}; "
-        f"aggregate pair trace ratio {pair_ratio:.4f} <= 1.05 over {pair_trials} trials "
-        f"(worst single instance {worst_ratio:.2f})"
+        + _compare(f"aggregate pair trace ratio {pair_ratio:.4f}", pair_ok, "<=", "1.05")
+        + f" over {pair_trials} trials (worst single instance {worst_ratio:.2f})"
     )
     return _result("5 greedy-oracle", started, ok, detail)
 
@@ -284,10 +280,12 @@ def check_mse_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
             if row["mean_mse_theory"] > floor
         ]
         worst[label] = max(rel)
-    ok = worst["polling"] <= 0.15 and worst["aloha"] <= 0.15
-    detail = (
-        "mse_theory nonincreasing in all 200 runs; worst |empirical-theory|/theory: "
-        f"polling {worst['polling']:.3f}, aloha {worst['aloha']:.3f} (<= 0.15)"
+    within = {label: value <= 0.15 for label, value in worst.items()}
+    ok = all(within.values())
+    runs = polling.scenario.run_count + aloha.scenario.run_count
+    detail = f"mse_theory nonincreasing in all {runs} runs; worst |empirical-theory|/theory: "
+    detail += ", ".join(
+        _compare(f"{label} {worst[label]:.3f}", within[label], "<=", "0.15") for label in worst
     )
     return _result("6 mse-calibration", started, ok, detail)
 
@@ -319,31 +317,51 @@ def check_polling_order(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("7 polling-order", started, ok, detail)
 
 
+# Check 8's selection-frequency windows, which ``gdas bandit --check``
+# applies too.  They hold from round 2·M on, after the round-robin sweep and
+# one more pass: at tau=1 the true model is played strictly more often than
+# any other model, and at tau=20 its frequency stays within
+# UNIFORM_FREQ +- UNIFORM_TOL.
+UNIFORM_FREQ = 0.2
+UNIFORM_TOL = 0.07
+
+
+def true_model_leads(result: BanditResult) -> dict[int, float]:
+    """Per round from 2·M on: the true model's frequency minus the best other model's."""
+    freq = result.selection_frequency()
+    true = result.scenario.true_model
+    return {
+        t: freq[true][t] - max(f[t] for m, f in freq.items() if m != true)
+        for t in range(2 * result.scenario.M, len(freq[true]))
+    }
+
+
+def true_model_freqs(result: BanditResult) -> dict[int, float]:
+    """Per round from 2·M on: the true model's selection frequency."""
+    freq = result.selection_frequency()[result.scenario.true_model]
+    return {t: float(freq[t]) for t in range(2 * result.scenario.M, len(freq))}
+
+
+def near_uniform(freq: float) -> bool:
+    return abs(freq - UNIFORM_FREQ) <= UNIFORM_TOL
+
+
 def check_bandit_behavior(seed: int = DEFAULT_SEED) -> CheckResult:
     """Softmax model selection: tau=1 locks onto the true model, tau=20 stays
     near uniform, and the true-model cost averages 1."""
     started = time.perf_counter()
-    arms = 5
-
     res1 = run_bandit_scenario(
         Scenario(mode="bandit", K=100, p=0.2, N=4, tau=1.0, runs=200, T=40, seed=seed)
     )
-    freq1 = res1.selection_frequency()
-    lead_ok = True
-    min_gap = float("inf")
-    for t in range(2 * arms, 40):
-        own = freq1[1][t]
-        best_other = max(freq1[m][t] for m in range(2, arms + 1))
-        min_gap = min(min_gap, own - best_other)
-        if own <= best_other:
-            lead_ok = False
+    leads = true_model_leads(res1)
+    min_gap = min(leads.values())
+    lead_ok = min_gap > 0
 
     res20 = run_bandit_scenario(
         Scenario(mode="bandit", K=100, p=0.2, N=4, tau=20.0, runs=500, T=30, seed=seed + 1)
     )
-    freq20 = res20.selection_frequency()
-    band = [freq20[1][t] for t in range(2 * arms, 30)]
-    band_ok = all(abs(v - 0.2) <= 0.07 for v in band)
+    band = list(true_model_freqs(res20).values())
+    band_ok = all(near_uniform(v) for v in band)
 
     # Mean normalized true-model cost over 1e4 simulated delivery rounds.
     rng = np.random.default_rng(seed + 2)
@@ -367,9 +385,12 @@ def check_bandit_behavior(seed: int = DEFAULT_SEED) -> CheckResult:
 
     ok = lead_ok and band_ok and cost_ok
     detail = (
-        f"tau=1: true model strictly leads rounds 10..39 (min gap {min_gap:.3f}); "
-        f"tau=20: selection frequency in 0.2+-0.07 (range {min(band):.3f}..{max(band):.3f}); "
-        f"true-model mean cost {mean_cost:.4f} in 1+-0.05 over {n_samples} samples"
+        f"tau=1: true model {'strictly leads' if lead_ok else 'does not lead'} rounds "
+        f"{min(leads)}..{max(leads)} (min gap {min_gap:.3f}); tau=20: selection frequency "
+        f"{'in' if band_ok else 'outside'} {UNIFORM_FREQ}+-{UNIFORM_TOL} "
+        f"(range {min(band):.3f}..{max(band):.3f}); "
+        f"true-model mean cost {mean_cost:.4f} {'in' if cost_ok else 'outside'} 1+-0.05 "
+        f"over {n_samples} samples"
     )
     return _result("8 bandit-behavior", started, ok, detail)
 
@@ -397,12 +418,18 @@ def check_softmax_units(seed: int = DEFAULT_SEED) -> CheckResult:
     closed = 1.0 / (1.0 + math.exp(-1.0))
     closed_err = abs(float(two[0]) - closed)
 
-    ok = shift_err <= 1e-12 and uniform_err <= 1e-6 and closed_err <= 1e-9
-    detail = (
-        f"shift invariance err {shift_err:.1e} <= 1e-12; "
-        f"tau=1e9 uniformity err {uniform_err:.1e} <= 1e-6; "
-        f"two-arm closed form err {closed_err:.1e} <= 1e-9 (P_1 = {closed:.5f})"
+    parts = [
+        ("shift invariance err", shift_err, "1e-12"),
+        ("tau=1e9 uniformity err", uniform_err, "1e-6"),
+        ("two-arm closed form err", closed_err, "1e-9"),
+    ]
+    within = [err <= float(limit) for _, err, limit in parts]
+    ok = all(within)
+    detail = "; ".join(
+        _compare(f"{text} {err:.1e}", good, "<=", limit)
+        for (text, err, limit), good in zip(parts, within)
     )
+    detail += f" (P_1 = {closed:.5f})"
     return _result("9 softmax-units", started, ok, detail)
 
 

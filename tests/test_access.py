@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gdas.access import (
-    ChannelConfig,
     aloha_round,
     crossover_check,
     expected_successes,
@@ -42,29 +41,6 @@ class TestUploadingProbability:
         want = uploading_probability(snr_threshold, snr_avg, availability)
         se = math.sqrt(want * (1 - want) / hits.size)
         assert abs(hits.mean() - want) < 4 * se
-
-
-class TestChannelConfig:
-    def test_direct_probability(self):
-        cfg = ChannelConfig(n_channels=4, mode="aloha", p=0.2)
-        assert cfg.upload_prob() == 0.2
-
-    def test_physical_triple(self):
-        cfg = ChannelConfig(
-            n_channels=2, mode="polling", snr_threshold=1.0, snr_avg=1.0, availability=0.5
-        )
-        assert cfg.upload_prob() == pytest.approx(0.5 * math.exp(-1.0))
-
-    def test_rejects_mixed_or_missing_parameterization(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(n_channels=2, mode="aloha", p=0.2, snr_threshold=1.0,
-                          snr_avg=1.0, availability=1.0)
-        with pytest.raises(ValueError):
-            ChannelConfig(n_channels=2, mode="aloha")
-        with pytest.raises(ValueError):
-            ChannelConfig(n_channels=0, mode="aloha", p=0.2)
-        with pytest.raises(ValueError):
-            ChannelConfig(n_channels=2, mode="csma", p=0.2)
 
 
 class TestPollingRound:

@@ -7,7 +7,6 @@ import pytest
 
 from gdas.bandit import (
     new_bandit_state,
-    record_selection,
     round_cost,
     round_cost_from_state,
     select_model,
@@ -33,7 +32,7 @@ class TestRoundCost:
         x = rng.normal(size=6)
         known = [2, 4]
         cond = condition(model, known, [x[1], x[3]])
-        pos = cond.unknown_position(5)
+        pos = cond.unknown_positions([5])[0]
         want = (x[4] - cond.cond_mean[pos]) ** 2 / cond.cond_cov[pos, pos]
         got = round_cost(model, known, [x[1], x[3]], [5], [x[4]])
         assert got == pytest.approx(want, rel=1e-12)
@@ -176,9 +175,3 @@ class TestUpdateAndHistory:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             update(new_bandit_state(2, 1.0), 1, -0.5)
-
-    def test_history_records_selections(self):
-        st = new_bandit_state(3, 1.0)
-        st = record_selection(st, 1)
-        st = record_selection(st, 3)
-        assert st.history == (1, 3)

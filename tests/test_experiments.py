@@ -2,9 +2,11 @@
 
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gdas.experiments as experiments
 from gdas.access import aloha_round, optimal_q, polling_round
@@ -246,6 +248,49 @@ class TestBlockLoop:
             assert res.stop_rounds[run] == (len(got) if reached else None)
 
 
+@st.composite
+def small_scenarios(draw):
+    K = draw(st.integers(8, 14))
+    return Scenario(
+        mode=draw(st.sampled_from(["polling", "aloha", "bandit"])),
+        q_policy=draw(st.sampled_from(["optimal", "topq", "fixed:1", "fixed:3"])),
+        first_round=draw(st.sampled_from(["random", "greedy"])),
+        K=K,
+        rho=draw(st.sampled_from([0.5, 0.9, 0.99])),
+        N=draw(st.integers(1, 3)),
+        p=draw(st.sampled_from([0.3, 0.6, 1.0])),
+        kbar=draw(st.integers(1, K)),
+        T=draw(st.integers(1, 10)),
+        runs=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestLoopProperties:
+    """The one run loop serves all modes: its records do not depend on how
+    runs are grouped into blocks, and every run obeys the round invariants."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(s=small_scenarios())
+    def test_blocks_of_one_match_the_default(self, s):
+        run = run_bandit_scenario if s.mode == "bandit" else run_scenario
+        res = run(s)
+        with patch.object(experiments, "_block_size", lambda K, arms=1: 1):
+            alone = run(s)
+        # repr compares floats exactly and treats the bandit's nan fields as equal.
+        assert [repr(r) for r in alone.records] == [repr(r) for r in res.records]
+        assert alone.stop_rounds == res.stop_rounds
+        for run_id in range(s.run_count):
+            recs = [r for r in res.records if r.run == run_id]
+            assert [r.t for r in recs] == list(range(len(recs)))
+            assert recs[0].known_before == 0
+            for rec in recs:
+                assert rec.delivered + rec.collided <= s.N
+            for a, b in zip(recs, recs[1:]):
+                assert b.known_before == a.known_before + a.delivered
+                assert b.mse_theory <= a.mse_theory + 1e-9
+
+
 class TestSweep:
     def test_single_value_matches_run_scenario(self):
         base = tiny(kbar=None, T=25)
@@ -293,6 +338,11 @@ class TestBanditScenario:
         freq = res.selection_frequency()
         totals = sum(freq[m] for m in range(1, 6))
         np.testing.assert_allclose(totals, 1.0, atol=1e-12)
+
+    def test_q_policy_sets_the_request_count(self):
+        s = Scenario(mode="bandit", K=12, N=2, p=0.4, T=12, runs=8, seed=5, q_policy="fixed:1")
+        res = run_bandit_scenario(s)
+        assert max(rec.delivered for rec in res.records) <= 1
 
     def test_requires_bandit_mode(self):
         with pytest.raises(ValueError, match="bandit"):

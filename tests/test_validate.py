@@ -1,5 +1,9 @@
 """Check reports state the comparison that actually holds."""
 
+from dataclasses import replace
+from unittest.mock import patch
+
+import gdas.validate as validate
 from gdas.validate import ROUNDS_ALOHA_WINDOW, _compare, _window
 
 
@@ -16,3 +20,43 @@ def test_window_report_says_in_or_outside():
     assert _window("aloha mean stop", 49.5, ROUNDS_ALOHA_WINDOW) == (
         "aloha mean stop 49.50 outside [49.7, 56.0]"
     )
+
+
+def test_conditioning_report_on_a_biased_update():
+    real = validate.rank_one_condition
+
+    def biased(state, node, value):
+        out = real(state, node, value)
+        return replace(out, cond_mean=out.cond_mean + 1e-6)
+
+    with patch.object(validate, "rank_one_condition", biased):
+        res = validate.check_conditioning_equivalence()
+    assert not res.passed
+    assert "> 1e-8 over 200 models" in res.detail
+
+
+def test_greedy_report_when_picks_ignore_the_cost():
+    def lowest_labels(state, q):
+        return [int(n) for n in state.cond.unknown_idx[:q]]
+
+    with patch.object(validate, "select_nodes", lowest_labels):
+        res = validate.check_greedy_oracle()
+    assert not res.passed
+    assert "aggregate pair trace ratio" in res.detail and "> 1.05" in res.detail
+
+
+def test_calibration_report_with_too_few_runs():
+    real = validate.run_scenario
+    with patch.object(validate, "run_scenario", lambda s: real(replace(s, runs=2))):
+        res = validate.check_mse_calibration()
+    assert not res.passed
+    assert "> 0.15" in res.detail
+
+
+def test_softmax_report_names_the_failing_part():
+    real = validate.new_bandit_state
+    with patch.object(validate, "new_bandit_state", lambda arms, tau: real(arms, 2 * tau)):
+        res = validate.check_softmax_units()
+    assert not res.passed
+    assert "shift invariance err" in res.detail and "<= 1e-12" in res.detail
+    assert "> 1e-9" in res.detail
