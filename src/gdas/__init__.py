@@ -22,7 +22,6 @@ from .access import (
 from .bandit import (
     BanditState,
     new_bandit_state,
-    round_cost,
     round_cost_from_state,
     select_model,
     softmax_probs,
@@ -39,7 +38,7 @@ from .engine import (
 from .errors import DegenerateVarianceError, NumericalDegeneracyError
 from .experiments import (
     BanditResult,
-    RoundRecord,
+    Rounds,
     RunResult,
     Scenario,
     SweepResult,

@@ -11,12 +11,12 @@ gathered it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .models import ConditionalState, GaussianModel, condition
+from .models import ConditionalState
 
 # A normalization below this means the model declares the delivered nodes
 # (conditionally) deterministic and the cost ratio is meaningless.
@@ -88,29 +88,18 @@ def round_cost_from_state(
     delivered_idx: Sequence[int],
     delivered_vals: Sequence[float],
 ) -> float:
+    """Normalized prediction error of this round's deliveries under ``cond``'s model.
+
+    Y = ||x_D - E[x_D | z]||^2 / Tr(Cov(x_D | z)), both evaluated under the
+    candidate model.  Under the data-generating model E[Y] = 1; a mismatched
+    model inflates it.
+    """
     sqerr, expected = prediction_error_terms(cond, delivered_idx, delivered_vals)
     if expected < DEGENERATE_COST_EPS:
         raise NumericalDegeneracyError(
             "model assigns (near-)zero conditional variance to the delivered nodes"
         )
     return sqerr / expected
-
-
-def round_cost(
-    model: GaussianModel,
-    known_idx: Iterable[int],
-    known_vals: Iterable[float],
-    delivered_idx: Sequence[int],
-    delivered_vals: Sequence[float],
-) -> float:
-    """Normalized prediction error of this round's deliveries under ``model``.
-
-    Y = ||x_D - E[x_D | z]||^2 / Tr(Cov(x_D | z)), both evaluated under the
-    candidate model.  Under the data-generating model E[Y] = 1; a mismatched
-    model inflates it.
-    """
-    cond = condition(model, known_idx, known_vals)
-    return round_cost_from_state(cond, delivered_idx, delivered_vals)
 
 
 def softmax_probs(state: BanditState) -> np.ndarray:

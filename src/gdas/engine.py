@@ -13,7 +13,7 @@ current conditional covariance, so selection never looks at observed values
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,13 +44,12 @@ class SelectionCost:
 
 @dataclass(frozen=True)
 class SensingState:
-    """One run's view of the collection process after ``round`` rounds.
+    """One run's view of the collection process.
 
     ``target`` is the hidden realization used only to score the estimate;
     selection logic reads nothing but ``cond``.
     """
 
-    round: int
     cond: ConditionalState
     target: np.ndarray | None
     mse_theory: float
@@ -84,7 +83,6 @@ def initial_state(model: GaussianModel, target: np.ndarray | None = None) -> Sen
             raise ValueError(f"target must have shape ({model.K},)")
     cond = condition(model, [], [])
     return SensingState(
-        round=0,
         cond=cond,
         target=target,
         mse_theory=float(np.trace(cond.cond_cov)),
@@ -237,17 +235,15 @@ def ingest(state: SensingState, delivered: Mapping[int, float]) -> SensingState:
 
     Nodes are conditioned one at a time (ascending label) through the
     rank-one update; near-deterministic nodes are absorbed without a
-    covariance update.  The round counter advances even when nothing was
-    delivered.
+    covariance update.  An empty delivery returns ``state`` itself.
     """
     if not delivered:
-        return replace(state, round=state.round + 1)
+        return state
     nodes = sorted(delivered)
     cond = rank_one_condition(
         state.cond, nodes, [float(delivered[n]) for n in nodes], absorb_degenerate=True
     )
     return SensingState(
-        round=state.round + 1,
         cond=cond,
         target=state.target,
         mse_theory=float(np.trace(cond.cond_cov)),

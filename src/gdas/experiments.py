@@ -1,4 +1,4 @@
-"""Monte-Carlo orchestration: scenarios, round records, summaries, CSV output.
+"""Monte-Carlo orchestration: scenarios, the round table, summaries, CSV output.
 
 A scenario fully determines its output: run r of a scenario draws everything
 from ``default_rng(SeedSequence((seed, r)))``, so repeated invocations are
@@ -32,7 +32,13 @@ from .bandit import (
     update,
 )
 from .engine import ingest, initial_state, select_nodes
-from .models import FAMILY_SIZE, GaussianModel, build_ar1_model, build_model_family
+from .models import (
+    FAMILY_SIZE,
+    GaussianModel,
+    _spd_cholesky,
+    build_ar1_model,
+    build_model_family,
+)
 
 ROUNDS_SCHEMA = "gdas.rounds.v1"
 SUMMARY_SCHEMA = "gdas.summary.v1"
@@ -152,22 +158,26 @@ def _fixed_q(policy: str) -> int | None:
     return None
 
 
-@dataclass(slots=True)
-class RoundRecord:
-    """One (run, round) record; bandit fields stay None elsewhere."""
+# The rounds-CSV columns, which are also the columns of the ``Rounds`` table;
+# bandit runs add the played model, its cost, the delivered-node error terms
+# and one selection probability per model.
+ROUNDS_COLUMNS = ("run", "t", "K_t", "mse_theory", "sqerr_actual", "delivered", "collided")
+BANDIT_COLUMNS = ("m", "Y", "sqerr_delivered", "mse_delivered_true")
 
-    run: int
-    t: int
-    known_before: int
-    mse_theory: float
-    sqerr_actual: float
-    delivered: int
-    collided: int
-    model: int | None = None
-    cost: float | None = None
-    sqerr_delivered: float | None = None
-    mse_delivered_true: float | None = None
-    probs: tuple[float, ...] | None = None
+
+@dataclass(frozen=True)
+class Rounds:
+    """One float64 row per (run, round), in (run, t) order."""
+
+    columns: tuple[str, ...]
+    data: np.ndarray
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.data[:, self.columns.index(name)]
+
+    def last_rows(self) -> np.ndarray:
+        """Index of each run's last row."""
+        return np.flatnonzero(np.diff(self["run"], append=np.inf))
 
 
 def _run_rng(seed: int, run: int) -> np.random.Generator:
@@ -175,12 +185,7 @@ def _run_rng(seed: int, run: int) -> np.random.Generator:
 
 
 def _sampler(model: GaussianModel) -> Callable[[np.random.Generator], np.ndarray]:
-    cov = model.cov
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * max(float(np.trace(cov)), 1.0) / model.K
-        chol = np.linalg.cholesky(cov + jitter * np.eye(model.K))
+    chol = _spd_cholesky(model.cov, labels=np.arange(1, model.K + 1))
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return model.mean + chol @ rng.standard_normal(model.K)
@@ -189,11 +194,11 @@ def _sampler(model: GaussianModel) -> Callable[[np.random.Generator], np.ndarray
 
 
 def _round_q(scenario: Scenario, p: float, remaining: int) -> int:
-    if scenario.mode == "polling":
-        return min(scenario.N, remaining)
     fixed = _fixed_q(scenario.q_policy)
+    if scenario.mode == "polling":
+        return min(fixed or scenario.N, scenario.N, remaining)
     if fixed is not None:
-        return max(1, min(fixed, remaining))
+        return min(fixed, remaining)
     return optimal_q(scenario.N, p, remaining)
 
 
@@ -204,10 +209,10 @@ def _first_request(scenario: Scenario, q: int, rng: np.random.Generator) -> list
 
 @dataclass
 class RunResult:
-    """Records plus per-run stop rounds for one polling/aloha scenario."""
+    """Round table plus per-run stop rounds for one polling/aloha scenario."""
 
     scenario: Scenario
-    records: list[RoundRecord]
+    records: Rounds
     stop_rounds: list[int | None]
 
     @property
@@ -223,18 +228,10 @@ class RunResult:
 
     def final_mse_by_run(self) -> np.ndarray:
         """Last recorded conditional MSE of each run (its value at any later round)."""
-        runs = self.scenario.run_count
-        out = np.full(runs, np.nan)
-        for rec in self.records:
-            out[rec.run] = rec.mse_theory
-        return out
+        return self.records["mse_theory"][self.records.last_rows()]
 
     def final_sqerr_by_run(self) -> np.ndarray:
-        runs = self.scenario.run_count
-        out = np.full(runs, np.nan)
-        for rec in self.records:
-            out[rec.run] = rec.sqerr_actual
-        return out
+        return self.records["sqerr_actual"][self.records.last_rows()]
 
     def summary_rows(self) -> list[dict]:
         return _per_round_summary(self.records, arms=None)
@@ -274,8 +271,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 def _run_all(
     scenario: Scenario, models: list[GaussianModel], true_idx: int
-) -> tuple[list[RoundRecord], list[int | None]]:
-    """Records in (run, t) order and stop rounds of every run of ``scenario``.
+) -> tuple[Rounds, list[int | None]]:
+    """Round table and stop rounds of every run of ``scenario``.
 
     Runs advance in lockstep blocks of ``_block_size(K, arms)`` so that one
     ``select_nodes`` call picks for the whole block each round.  Each run
@@ -285,14 +282,17 @@ def _run_all(
     draw = _sampler(models[true_idx])
     runs = scenario.run_count
     block = _block_size(scenario.K, len(models))
-    records: list[RoundRecord] = []
+    columns = ROUNDS_COLUMNS
+    if scenario.mode == "bandit":
+        columns += BANDIT_COLUMNS + tuple(f"P_{m}" for m in range(1, len(models) + 1))
+    tables: list[np.ndarray] = []
     stop_rounds: list[int | None] = []
     for first in range(0, runs, block):
         run_ids = list(range(first, min(first + block, runs)))
-        recs, stops = _run_block(scenario, models, true_idx, draw, run_ids)
-        records += recs
+        rows, stops = _run_block(scenario, models, true_idx, draw, run_ids)
+        tables.append(np.array(rows, dtype=float).reshape(-1, len(columns)))
         stop_rounds += stops
-    return records, stop_rounds
+    return Rounds(columns, np.concatenate(tables)), stop_rounds
 
 
 def _one_hot(arms: int, m: int) -> tuple[float, ...]:
@@ -318,12 +318,12 @@ def _run_block(
     true_idx: int,
     draw: Callable[[np.random.Generator], np.ndarray],
     run_ids: list[int],
-) -> tuple[list[RoundRecord], list[int | None]]:
-    """Records in (run, t) order and stop rounds of the runs ``run_ids``.
+) -> tuple[list[tuple], list[int | None]]:
+    """Round-table rows in (run, t) order and stop rounds of the runs ``run_ids``.
 
     Each run keeps one posterior per arm, all fed the same deliveries:
     polling and ALOHA runs have one arm, bandit runs one per model, and
-    records report the posterior of arm ``true_idx``.
+    rows report the posterior of arm ``true_idx``.
     """
     p = scenario.upload_p
     N = scenario.N
@@ -339,7 +339,7 @@ def _run_block(
     bsts = [new_bandit_state(len(models), scenario.tau) for _ in run_ids] if bandit else None
     arm = [1] * len(run_ids)
     probs: list[tuple[float, ...] | None] = [None] * len(run_ids)
-    run_records: list[list[RoundRecord]] = [[] for _ in run_ids]
+    run_rows: list[list[tuple]] = [[] for _ in run_ids]
     stops: list[int | None] = [None] * len(run_ids)
     # Each run's last (arm, picks), kept while its rounds deliver nothing:
     # that arm's posterior and the request count, and so its picks, are
@@ -378,7 +378,7 @@ def _run_block(
             vals = [float(x[n - 1]) for n in delivered]
             if delivered:
                 last[i] = None
-            extra = {}
+            extra = ()
             if bandit:
                 if delivered:
                     sqerr_d, expected_d = prediction_error_terms(
@@ -392,26 +392,20 @@ def _run_block(
                         bsts[i] = update(bsts[i], m, cost)
                 else:
                     sqerr_d = expected_true = cost = float("nan")
-                extra = dict(
-                    model=m,
-                    cost=cost,
-                    sqerr_delivered=sqerr_d,
-                    mse_delivered_true=expected_true,
-                    probs=probs[i],
-                )
+                extra = (m, cost, sqerr_d, expected_true, *probs[i])
             payload = dict(zip(delivered, vals))
             states = [ingest(st, payload) for st in states]
             arm_states[i] = states
-            run_records[i].append(
-                RoundRecord(
-                    run=run_ids[i],
-                    t=t,
-                    known_before=known_before,
-                    mse_theory=states[true_idx].mse_theory,
-                    sqerr_actual=states[true_idx].sqerr_actual,
-                    delivered=len(delivered),
-                    collided=len(outcome.collided_channels),
-                    **extra,
+            run_rows[i].append(
+                (
+                    run_ids[i],
+                    t,
+                    known_before,
+                    states[true_idx].mse_theory,
+                    states[true_idx].sqerr_actual,
+                    len(delivered),
+                    len(outcome.collided_channels),
+                    *extra,
                 )
             )
             if states[0].known_count >= kbar:
@@ -420,7 +414,7 @@ def _run_block(
             else:
                 still.append(i)
         active = still
-    return [rec for recs in run_records for rec in recs], stops
+    return [row for rows in run_rows for row in rows], stops
 
 
 @dataclass(frozen=True)
@@ -492,10 +486,10 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
 
 @dataclass
 class BanditResult:
-    """Records plus stop rounds for a model-selection scenario."""
+    """Round table plus stop rounds for a model-selection scenario."""
 
     scenario: Scenario
-    records: list[RoundRecord]
+    records: Rounds
     stop_rounds: list[int | None]
 
     def summary_rows(self) -> list[dict]:
@@ -528,37 +522,33 @@ def run_bandit_scenario(scenario: Scenario) -> BanditResult:
     return BanditResult(scenario, *_run_all(scenario, models, scenario.true_model - 1))
 
 
-def _per_round_summary(records: Sequence[RoundRecord], arms: int | None) -> list[dict]:
-    """Arithmetic per-round means over the runs still active at each round."""
-    by_t: dict[int, list[RoundRecord]] = {}
-    for rec in records:
-        by_t.setdefault(rec.t, []).append(rec)
+def _nanmean(values: np.ndarray) -> float:
+    return float(np.nanmean(values)) if np.any(~np.isnan(values)) else float("nan")
+
+
+def _per_round_summary(table: Rounds, arms: int | None) -> list[dict]:
+    """Arithmetic per-round means over the runs still active at each round.
+
+    A stable sort on ``t`` keeps each round's values in run order, so every
+    mean adds the same values in the same order as a loop over the rows.
+    """
+    order = np.argsort(table["t"], kind="stable")
+    ts, starts = np.unique(table["t"][order], return_index=True)
+    # Averaged: every column after run, t and K_t.
+    names = ROUNDS_COLUMNS[3:] + (BANDIT_COLUMNS if arms is not None else ())
+    by_t = {name: np.split(table[name][order], starts[1:]) for name in names}
     rows = []
-    for t in sorted(by_t):
-        group = by_t[t]
-        n = len(group)
-        row: dict = {
-            "t": t,
-            "n_active": n,
-            "mean_mse_theory": float(np.mean([r.mse_theory for r in group])),
-            "mean_sqerr_actual": float(np.mean([r.sqerr_actual for r in group])),
-            "mean_delivered": float(np.mean([r.delivered for r in group])),
-            "mean_collided": float(np.mean([r.collided for r in group])),
-        }
+    for i, t in enumerate(ts):
+        col = {name: groups[i] for name, groups in by_t.items()}
+        row: dict = {"t": int(t), "n_active": len(col["delivered"])}
+        for name in ROUNDS_COLUMNS[3:]:
+            row[f"mean_{name}"] = float(np.mean(col[name]))
         if arms is not None:
-            played = np.array([r.model for r in group], dtype=np.int64)
             for m in range(1, arms + 1):
-                row[f"freq_{m}"] = float(np.mean(played == m))
-            costs = np.array([r.cost for r in group], dtype=float)
-            sq = np.array([r.sqerr_delivered for r in group], dtype=float)
-            th = np.array([r.mse_delivered_true for r in group], dtype=float)
-            row["mean_cost"] = float(np.nanmean(costs)) if np.any(~np.isnan(costs)) else float("nan")
-            row["mean_sqerr_delivered"] = (
-                float(np.nanmean(sq)) if np.any(~np.isnan(sq)) else float("nan")
-            )
-            row["mean_mse_delivered_true"] = (
-                float(np.nanmean(th)) if np.any(~np.isnan(th)) else float("nan")
-            )
+                row[f"freq_{m}"] = float(np.mean(col["m"] == m))
+            row["mean_cost"] = _nanmean(col["Y"])
+            for name in BANDIT_COLUMNS[2:]:
+                row[f"mean_{name}"] = _nanmean(col[name])
         rows.append(row)
     return rows
 
@@ -569,8 +559,6 @@ def _per_round_summary(records: Sequence[RoundRecord], arms: int | None) -> list
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -605,39 +593,12 @@ def _scenario_tag(s: Scenario) -> str:
 
 
 def write_rounds_csv(path, result: RunResult | BanditResult) -> None:
-    s = result.scenario
-    bandit = s.mode == "bandit"
-    columns = ["run", "t", "K_t", "mse_theory", "sqerr_actual", "delivered", "collided"]
-    if bandit:
-        columns += ["m", "Y", "sqerr_delivered", "mse_delivered_true"]
-        columns += [f"P_{m}" for m in range(1, s.M + 1)]
-    # Rows are written as they are formatted: holding the whole table as
-    # text would double the peak memory of a large batch.
+    """The round table under its column names; counts print as integers (all < 1e9)."""
+    table = result.records
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {ROUNDS_SCHEMA} {_scenario_tag(s)}\n{','.join(columns)}\n")
-        for rec in sorted(result.records, key=lambda r: (r.run, r.t)):
-            fh.write(",".join(_rounds_cells(rec, bandit)) + "\n")
-
-
-def _rounds_cells(rec: RoundRecord, bandit: bool) -> list[str]:
-    cells = [
-        _fmt(rec.run),
-        _fmt(rec.t),
-        _fmt(rec.known_before),
-        _fmt(rec.mse_theory),
-        _fmt(rec.sqerr_actual),
-        _fmt(rec.delivered),
-        _fmt(rec.collided),
-    ]
-    if bandit:
-        cells += [
-            _fmt(rec.model),
-            _fmt(rec.cost),
-            _fmt(rec.sqerr_delivered),
-            _fmt(rec.mse_delivered_true),
-        ]
-        cells += [_fmt(p) for p in rec.probs]
-    return cells
+        fh.write(f"# {ROUNDS_SCHEMA} {_scenario_tag(result.scenario)}\n")
+        fh.write(",".join(table.columns) + "\n")
+        np.savetxt(fh, table.data, fmt="%.9g", delimiter=",")
 
 
 def write_summary_csv(path, result: RunResult | BanditResult) -> None:

@@ -237,13 +237,6 @@ def check_greedy_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("5 greedy-oracle", started, ok, detail)
 
 
-def _per_run_series(records, field: str) -> dict[int, list[float]]:
-    out: dict[int, list[float]] = {}
-    for rec in records:
-        out.setdefault(rec.run, []).append(getattr(rec, field))
-    return out
-
-
 def check_mse_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
     """Monotone conditional MSE plus 100-run empirical tracking within 15%.
 
@@ -263,13 +256,13 @@ def check_mse_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
                  runs=100, seed=seed + 1)
     )
     for label, res in (("polling", polling), ("aloha", aloha)):
-        for run, series in _per_run_series(res.records, "mse_theory").items():
-            diffs = np.diff(np.asarray(series))
-            if np.any(diffs > 1e-9):
-                return _result(
-                    "6 mse-calibration", started, False,
-                    f"{label} run {run}: mse_theory increased",
-                )
+        run = res.records["run"]
+        rose = (np.diff(res.records["mse_theory"]) > 1e-9) & (run[1:] == run[:-1])
+        if rose.any():
+            return _result(
+                "6 mse-calibration", started, False,
+                f"{label} run {int(run[1:][rose][0])}: mse_theory increased",
+            )
 
     worst = {}
     for label, res, floor in (("polling", polling, 0.0), ("aloha", aloha, 0.5)):

@@ -7,7 +7,6 @@ import pytest
 
 from gdas.bandit import (
     new_bandit_state,
-    round_cost,
     round_cost_from_state,
     select_model,
     softmax_probs,
@@ -34,16 +33,8 @@ class TestRoundCost:
         cond = condition(model, known, [x[1], x[3]])
         pos = cond.unknown_positions([5])[0]
         want = (x[4] - cond.cond_mean[pos]) ** 2 / cond.cond_cov[pos, pos]
-        got = round_cost(model, known, [x[1], x[3]], [5], [x[4]])
+        got = round_cost_from_state(cond, [5], [x[4]])
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_state_and_model_paths_agree(self, rng):
-        model = random_psd_model(rng, 8)
-        x = rng.normal(size=8)
-        cond = condition(model, [1, 6], [x[0], x[5]])
-        a = round_cost(model, [1, 6], [x[0], x[5]], [3, 7], [x[2], x[6]])
-        b = round_cost_from_state(cond, [3, 7], [x[2], x[6]])
-        assert a == pytest.approx(b, rel=1e-12)
 
     def test_mean_is_one_under_the_true_model(self, rng):
         model = build_ar1_model(30, 0.95)
@@ -81,12 +72,12 @@ class TestRoundCost:
     def test_empty_delivery_rejected(self, rng):
         model = random_psd_model(rng, 4)
         with pytest.raises(ValueError, match="at least one"):
-            round_cost(model, [], [], [], [])
+            round_cost_from_state(condition(model, [], []), [], [])
 
     def test_degenerate_model_rejected(self):
         model = GaussianModel(mean=np.zeros(3), cov=np.zeros((3, 3)))
         with pytest.raises(NumericalDegeneracyError, match="zero conditional variance"):
-            round_cost(model, [], [], [1], [0.5])
+            round_cost_from_state(condition(model, [], []), [1], [0.5])
 
 
 class TestSoftmaxProbs:

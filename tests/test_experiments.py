@@ -1,7 +1,9 @@
 """Scenario orchestration: determinism, stop rules, summaries, CSV output."""
 
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -16,6 +18,7 @@ from gdas.engine import ingest, initial_state, select_nodes
 from gdas.experiments import (
     Scenario,
     _run_rng,
+    _sampler,
     run_bandit_scenario,
     run_scenario,
     sweep,
@@ -23,13 +26,18 @@ from gdas.experiments import (
     write_summary_csv,
     write_sweep_csv,
 )
-from gdas.models import build_ar1_model, build_model_family
+from gdas.models import GaussianModel, build_ar1_model, build_model_family
 
 
 def tiny(**overrides):
     base = dict(K=12, rho=0.9, N=2, mode="aloha", p=0.4, kbar=9, T=40, runs=6, seed=99)
     base.update(overrides)
     return Scenario(**base)
+
+
+def run_rows(table, run):
+    """The rows of ``run`` in round order, as dicts keyed by column name."""
+    return [dict(zip(table.columns, row)) for row in table.data[table["run"] == run]]
 
 
 class TestScenarioValidation:
@@ -78,54 +86,53 @@ class TestRunScenario:
 
     def test_stop_round_matches_cumulative_deliveries(self):
         res = run_scenario(tiny())
-        per_run: dict[int, list] = {}
-        for rec in res.records:
-            per_run.setdefault(rec.run, []).append(rec)
-        for run, recs in per_run.items():
-            cum = np.cumsum([r.delivered for r in recs])
+        for run in range(res.scenario.run_count):
+            cum = np.cumsum(res.records["delivered"][res.records["run"] == run])
             reached = np.flatnonzero(cum >= 9)
             want = int(reached[0]) + 1 if reached.size else None
             assert res.stop_rounds[run] == want
 
     def test_known_count_is_monotone(self):
         res = run_scenario(tiny())
-        per_run: dict[int, list] = {}
-        for rec in res.records:
-            per_run.setdefault(rec.run, []).append(rec.known_before)
-        for counts in per_run.values():
+        for run in range(res.scenario.run_count):
+            counts = res.records["K_t"][res.records["run"] == run]
             assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_seed_determinism(self):
         a = run_scenario(tiny())
         b = run_scenario(tiny())
         assert a.stop_rounds == b.stop_rounds
-        assert [(r.run, r.t, r.mse_theory, r.delivered) for r in a.records] == [
-            (r.run, r.t, r.mse_theory, r.delivered) for r in b.records
-        ]
+        for name in ("run", "t", "mse_theory", "delivered"):
+            np.testing.assert_array_equal(a.records[name], b.records[name])
 
     def test_seed_changes_the_draws(self):
         a = run_scenario(tiny())
         b = run_scenario(tiny(seed=100))
-        assert [r.delivered for r in a.records] != [r.delivered for r in b.records]
+        assert not np.array_equal(a.records["delivered"], b.records["delivered"])
 
     def test_fixed_q_policy_caps_requests(self):
         # With q_policy=fixed:1 every ALOHA round requests one node, so no
         # round can deliver more than one measurement.
         res = run_scenario(tiny(q_policy="fixed:1", T=60, kbar=None))
-        assert max(r.delivered for r in res.records) <= 1
+        assert res.records["delivered"].max() <= 1
+
+    def test_polling_honours_fixed_q_policy(self):
+        # Three channels that never fail, but fixed:1 requests one node a
+        # round: every round delivers exactly one measurement.
+        s = tiny(mode="polling", p=1.0, N=3, q_policy="fixed:1", kbar=None, T=20, runs=3)
+        res = run_scenario(s)
+        assert set(res.records["delivered"]) == {1}
+        assert res.stop_rounds == [12, 12, 12]
 
     def test_topq_policy_runs(self):
         res = run_scenario(tiny(q_policy="topq"))
-        assert res.records
+        assert res.records.data.size
 
     def test_greedy_first_round_is_deterministic_across_runs(self):
         s = tiny(mode="polling", p=1.0, N=3, first_round="greedy", kbar=None, T=4, runs=4)
         res = run_scenario(s)
-        first = {}
-        for rec in res.records:
-            if rec.t == 0:
-                first[rec.run] = rec.mse_theory
-        assert len(set(first.values())) == 1
+        first = res.records["mse_theory"][res.records["t"] == 0]
+        assert len(first) == 4 and len(set(first)) == 1
 
     def test_bandit_mode_rejected(self):
         with pytest.raises(ValueError, match="bandit"):
@@ -134,14 +141,22 @@ class TestRunScenario:
     def test_summary_rows_are_plain_means(self):
         res = run_scenario(tiny())
         rows = res.summary_rows()
-        t0 = [r for r in res.records if r.t == 0]
-        assert rows[0]["n_active"] == len(t0)
+        t0 = res.records["t"] == 0
+        assert rows[0]["n_active"] == t0.sum()
         assert rows[0]["mean_mse_theory"] == pytest.approx(
-            np.mean([r.mse_theory for r in t0])
+            np.mean(res.records["mse_theory"][t0])
         )
         assert rows[0]["mean_delivered"] == pytest.approx(
-            np.mean([r.delivered for r in t0])
+            np.mean(res.records["delivered"][t0])
         )
+
+    def test_sampler_draws_from_a_rank_deficient_model(self):
+        model = GaussianModel(mean=np.zeros(4), cov=np.ones((4, 4)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(model.cov)
+        x = _sampler(model)(np.random.default_rng(0))
+        assert x.shape == (4,) and np.all(np.isfinite(x))
+        np.testing.assert_allclose(x, x[0], atol=1e-4)
 
 
 def replay_run(s: Scenario, run: int):
@@ -159,6 +174,8 @@ def replay_run(s: Scenario, run: int):
         known_before = st.known_count
         if s.mode == "polling":
             q = min(s.N, remaining)
+            if s.q_policy.startswith("fixed:"):
+                q = min(q, int(s.q_policy[6:]))
         elif s.q_policy.startswith("fixed:"):
             q = min(int(s.q_policy[6:]), remaining)
         else:
@@ -187,6 +204,7 @@ class TestBlockLoop:
         "overrides",
         [
             dict(mode="polling"),
+            dict(mode="polling", q_policy="fixed:1", T=25),
             dict(mode="aloha"),
             dict(mode="aloha", q_policy="topq"),
             dict(mode="aloha", q_policy="fixed:1", T=25),
@@ -200,16 +218,17 @@ class TestBlockLoop:
         stops = res.stop_rounds
         # Runs stop at different rounds and some never reach kbar.
         assert None in stops and len(set(stops)) > 2
-        assert [(r.run, r.t) for r in res.records] == sorted((r.run, r.t) for r in res.records)
+        pairs = list(zip(res.records["run"], res.records["t"]))
+        assert pairs == sorted(pairs)
         for run in range(s.run_count):
             rows, stop = replay_run(s, run)
-            got = [r for r in res.records if r.run == run]
+            got = run_rows(res.records, run)
             assert stops[run] == stop
-            assert [(r.known_before, r.delivered, r.collided) for r in got] == [
+            assert [(r["K_t"], r["delivered"], r["collided"]) for r in got] == [
                 row[:3] for row in rows
             ]
             np.testing.assert_allclose(
-                [r.mse_theory for r in got], [row[3] for row in rows], rtol=1e-12, atol=0.0
+                [r["mse_theory"] for r in got], [row[3] for row in rows], rtol=1e-12, atol=0.0
             )
 
 
@@ -226,9 +245,9 @@ class TestBlockLoop:
             x = models[0].mean + np.linalg.cholesky(models[0].cov) @ rng.standard_normal(s.K)
             states = [initial_state(model, x) for model in models]
             bst = new_bandit_state(s.M, s.tau)
-            got = [r for r in res.records if r.run == run]
+            got = run_rows(res.records, run)
             for t, rec in enumerate(got):
-                assert rec.known_before == states[0].known_count
+                assert rec["K_t"] == states[0].known_count
                 m = select_model(bst, t, rng)
                 q = optimal_q(s.N, s.p, states[0].unknown_count)
                 if t == 0:
@@ -237,13 +256,13 @@ class TestBlockLoop:
                     requested = select_nodes(states[m - 1], q)
                 delivered = list(aloha_round(requested, s.N, s.p, rng).delivered)
                 vals = [float(x[n - 1]) for n in delivered]
-                assert (rec.model, rec.delivered) == (m, len(delivered))
+                assert (rec["m"], rec["delivered"]) == (m, len(delivered))
                 if delivered:
                     sqerr, expected = prediction_error_terms(states[m - 1].cond, delivered, vals)
-                    assert rec.cost == sqerr / expected
+                    assert rec["Y"] == sqerr / expected
                     bst = update(bst, m, sqerr / expected)
                 states = [ingest(st, dict(zip(delivered, vals))) for st in states]
-                assert rec.mse_theory == states[0].mse_theory
+                assert rec["mse_theory"] == states[0].mse_theory
             reached = states[0].known_count >= s.stop_threshold
             assert res.stop_rounds[run] == (len(got) if reached else None)
 
@@ -267,8 +286,8 @@ def small_scenarios(draw):
 
 
 class TestLoopProperties:
-    """The one run loop serves all modes: its records do not depend on how
-    runs are grouped into blocks, and every run obeys the round invariants."""
+    """The one run loop serves all modes: its round table does not depend on
+    how runs are grouped into blocks, and every run obeys the round invariants."""
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(s=small_scenarios())
@@ -277,18 +296,67 @@ class TestLoopProperties:
         res = run(s)
         with patch.object(experiments, "_block_size", lambda K, arms=1: 1):
             alone = run(s)
-        # repr compares floats exactly and treats the bandit's nan fields as equal.
-        assert [repr(r) for r in alone.records] == [repr(r) for r in res.records]
+        assert alone.records.columns == res.records.columns
+        assert np.array_equal(alone.records.data, res.records.data, equal_nan=True)
         assert alone.stop_rounds == res.stop_rounds
         for run_id in range(s.run_count):
-            recs = [r for r in res.records if r.run == run_id]
-            assert [r.t for r in recs] == list(range(len(recs)))
-            assert recs[0].known_before == 0
+            recs = run_rows(res.records, run_id)
+            assert [r["t"] for r in recs] == list(range(len(recs)))
+            assert recs[0]["K_t"] == 0
             for rec in recs:
-                assert rec.delivered + rec.collided <= s.N
+                assert rec["delivered"] + rec["collided"] <= s.N
             for a, b in zip(recs, recs[1:]):
-                assert b.known_before == a.known_before + a.delivered
-                assert b.mse_theory <= a.mse_theory + 1e-9
+                assert b["K_t"] == a["K_t"] + a["delivered"]
+                assert b["mse_theory"] <= a["mse_theory"] + 1e-9
+
+
+def _nanmean(values):
+    return float(np.nanmean(values)) if np.any(~np.isnan(values)) else float("nan")
+
+
+def _to_9_digits(value):
+    return pytest.approx(value, rel=1e-8, nan_ok=True)
+
+
+class TestRoundTableProperties:
+    """The rounds CSV, the per-round summary and the final values all read
+    the one round table."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(s=small_scenarios())
+    def test_csv_summary_and_finals_agree_with_the_table(self, s):
+        bandit = s.mode == "bandit"
+        res = (run_bandit_scenario if bandit else run_scenario)(s)
+        table = res.records
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rounds.csv"
+            write_rounds_csv(path, res)
+            header = path.read_text().splitlines()[1]
+            back = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        # The file holds the table to 9 significant digits.
+        assert header == ",".join(table.columns)
+        np.testing.assert_allclose(back, table.data, rtol=1e-8, atol=0.0)
+
+        col = dict(zip(table.columns, back.T))
+        rows = res.summary_rows()
+        assert [row["t"] for row in rows] == sorted(set(col["t"]))
+        for row in rows:
+            at = col["t"] == row["t"]
+            assert row["n_active"] == at.sum()
+            for name in ("mse_theory", "sqerr_actual", "delivered", "collided"):
+                assert row[f"mean_{name}"] == _to_9_digits(np.mean(col[name][at]))
+            if bandit:
+                for m in range(1, s.M + 1):
+                    assert row[f"freq_{m}"] == np.mean(col["m"][at] == m)
+                assert row["mean_cost"] == _to_9_digits(_nanmean(col["Y"][at]))
+                for name in ("sqerr_delivered", "mse_delivered_true"):
+                    assert row[f"mean_{name}"] == _to_9_digits(_nanmean(col[name][at]))
+
+        if not bandit:
+            last = {}
+            for run, mse in zip(table["run"], table["mse_theory"]):
+                last[int(run)] = mse
+            assert res.final_mse_by_run().tolist() == [last[r] for r in range(s.run_count)]
 
 
 class TestSweep:
@@ -317,20 +385,21 @@ class TestBanditScenario:
     def test_smoke_and_record_shape(self):
         s = Scenario(mode="bandit", K=12, N=2, p=0.4, T=12, runs=4, seed=5, M=5)
         res = run_bandit_scenario(s)
-        assert res.records
-        for rec in res.records:
-            assert 1 <= rec.model <= 5
-            assert len(rec.probs) == 5
-            assert sum(rec.probs) == pytest.approx(1.0, abs=1e-9)
-        # round-robin start: rounds 0..4 play arms 1..5 in order
-        for rec in res.records:
-            if rec.t < 5:
-                assert rec.model == rec.t + 1
+        assert res.records.data.size
+        probs = [c for c in res.records.columns if c.startswith("P_")]
+        assert len(probs) == 5
+        for run in range(s.run_count):
+            for rec in run_rows(res.records, run):
+                assert 1 <= rec["m"] <= 5
+                assert sum(rec[c] for c in probs) == pytest.approx(1.0, abs=1e-9)
+                # round-robin start: rounds 0..4 play arms 1..5 in order
+                if rec["t"] < 5:
+                    assert rec["m"] == rec["t"] + 1
 
     def test_fixed_model_baseline_plays_one_arm(self):
         s = Scenario(mode="bandit", K=12, N=2, p=0.4, T=10, runs=3, seed=5, fixed_model=2)
         res = run_bandit_scenario(s)
-        assert all(rec.model == 2 for rec in res.records)
+        assert set(res.records["m"]) == {2}
 
     def test_selection_frequencies_sum_to_one(self):
         s = Scenario(mode="bandit", K=12, N=2, p=0.4, T=15, runs=8, seed=3)
@@ -342,7 +411,7 @@ class TestBanditScenario:
     def test_q_policy_sets_the_request_count(self):
         s = Scenario(mode="bandit", K=12, N=2, p=0.4, T=12, runs=8, seed=5, q_policy="fixed:1")
         res = run_bandit_scenario(s)
-        assert max(rec.delivered for rec in res.records) <= 1
+        assert res.records["delivered"].max() <= 1
 
     def test_requires_bandit_mode(self):
         with pytest.raises(ValueError, match="bandit"):

@@ -3,6 +3,8 @@
 from dataclasses import replace
 from unittest.mock import patch
 
+import numpy as np
+
 import gdas.validate as validate
 from gdas.validate import ROUNDS_ALOHA_WINDOW, _compare, _window
 
@@ -51,6 +53,23 @@ def test_calibration_report_with_too_few_runs():
         res = validate.check_mse_calibration()
     assert not res.passed
     assert "> 0.15" in res.detail
+
+
+def test_calibration_report_names_the_run_whose_mse_rose():
+    real = validate.run_scenario
+
+    def rising(s):
+        res = real(replace(s, runs=3))
+        data = res.records.data.copy()
+        rows = np.flatnonzero(res.records["run"] == 2)
+        col = res.records.columns.index("mse_theory")
+        data[rows[2], col] = data[rows[1], col] + 1.0
+        return replace(res, records=replace(res.records, data=data))
+
+    with patch.object(validate, "run_scenario", rising):
+        res = validate.check_mse_calibration()
+    assert not res.passed
+    assert res.detail == "polling run 2: mse_theory increased"
 
 
 def test_softmax_report_names_the_failing_part():
