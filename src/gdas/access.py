@@ -174,9 +174,9 @@ def mean_rounds_bound(
 ) -> float:
     """Closed-form mean rounds to collect ``kbar`` measurements.
 
-    polling: kbar / (N p).  aloha: kbar / (Q p (1 - p/N)^(Q-1)), a lower
-    bound by Wald's identity.  aloha-approx: kbar / (N e^{-1}), the
-    large-N form at Q = N/p.
+    polling: kbar / (min(Q, N) p), Q defaulting to N.  aloha:
+    kbar / (Q p (1 - p/N)^(Q-1)), a lower bound by Wald's identity.
+    aloha-approx: kbar / (N e^{-1}), the large-N form at Q = N/p.
     """
     if kbar < 0:
         raise ValueError("kbar must be >= 0")
@@ -185,7 +185,8 @@ def mean_rounds_bound(
     if kbar == 0:
         return 0.0
     if scheme == "polling":
-        return kbar / (n_channels * p)
+        polled = n_channels if q is None else q
+        return kbar / expected_successes("polling", n_channels, p, polled)
     if scheme == "aloha":
         if q is None:
             raise ValueError("the exact aloha bound needs q")

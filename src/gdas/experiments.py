@@ -193,9 +193,13 @@ def _sampler(model: GaussianModel) -> Callable[[np.random.Generator], np.ndarray
     return draw
 
 
-def _round_q(scenario: Scenario, p: float, remaining: int) -> int:
+def _round_q(scenario: Scenario, p: float, remaining: int, mode: str | None = None) -> int:
+    """Request count of ``q_policy`` with ``remaining`` unknowns.
+
+    ``mode`` defaults to the scenario's; ``bounds`` asks for both access modes.
+    """
     fixed = _fixed_q(scenario.q_policy)
-    if scenario.mode == "polling":
+    if (mode or scenario.mode) == "polling":
         return min(fixed or scenario.N, scenario.N, remaining)
     if fixed is not None:
         return min(fixed, remaining)
@@ -237,13 +241,15 @@ class RunResult:
         return _per_round_summary(self.records, arms=None)
 
     def bounds(self) -> dict[str, float | bool]:
+        """Closed forms at the first round's request count under ``q_policy``."""
         s = self.scenario
         p = s.upload_p
-        q = optimal_q(s.N, p, s.K)
+        polled = _round_q(s, p, s.K, "polling")
+        q = _round_q(s, p, s.K, "aloha")
         return {
-            "expected_polling": expected_successes("polling", s.N, p, s.N),
+            "expected_polling": expected_successes("polling", s.N, p, polled),
             "expected_aloha": expected_successes("aloha", s.N, p, q),
-            "rounds_polling": mean_rounds_bound("polling", s.stop_threshold, s.N, p),
+            "rounds_polling": mean_rounds_bound("polling", s.stop_threshold, s.N, p, polled),
             "rounds_aloha": mean_rounds_bound("aloha", s.stop_threshold, s.N, p, q),
             "rounds_aloha_approx": mean_rounds_bound(
                 "aloha-approx", s.stop_threshold, s.N, p

@@ -7,8 +7,8 @@ the still-unknown nodes given every observation made so far.
 
 Two conditioning paths are provided and must agree:
 
-* ``condition`` solves the full linear system (Schur complement of the
-  observed block) and is the reference implementation,
+* ``condition`` forms the Schur complement of the observed block from one
+  Cholesky factorization and is the reference implementation,
 * ``rank_one_condition`` folds in one observation at a time with an
   O(L^2) covariance downdate, which is what the round loop uses.
 """
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DegenerateVarianceError, NumericalDegeneracyError
 
@@ -178,8 +177,10 @@ def condition(
         E[u | z]   = u_bar + R_uz R_z^{-1} (z - z_bar)
         Cov(u | z) = R_u - R_uz R_z^{-1} R_uz^T
 
-    The observed-block system is solved through a Cholesky factorization,
-    never an explicit inverse.
+    With R_z = L L^T, one solve against the factor whitens the observed
+    block, W = [W_u | w_z] = L^{-1} [R_zu | z - z_bar], so that
+    R_uz R_z^{-1} R_zu = W_u^T W_u and R_uz R_z^{-1} (z - z_bar) = W_u^T w_z;
+    R_z is never inverted.
     """
     idx_arr = np.asarray(list(idx), dtype=np.int64)
     vals_arr = np.asarray(list(vals), dtype=float)
@@ -200,13 +201,12 @@ def condition(
     mask[zpos] = False
     upos = np.flatnonzero(mask)
 
-    r_z = model.cov[np.ix_(zpos, zpos)]
-    r_uz = model.cov[np.ix_(upos, zpos)]
-    chol = _spd_cholesky(r_z, labels=idx_arr)
-    alpha = cho_solve((chol, True), vals_arr - model.mean[zpos])
-    gain = cho_solve((chol, True), r_uz.T)
-    cond_mean = model.mean[upos] + r_uz @ alpha
-    cond_cov = model.cov[np.ix_(upos, upos)] - r_uz @ gain
+    chol = _spd_cholesky(model.cov[np.ix_(zpos, zpos)], labels=idx_arr)
+    rhs = np.column_stack((model.cov[np.ix_(zpos, upos)], vals_arr - model.mean[zpos]))
+    w = np.linalg.solve(chol, rhs)
+    w_u, w_z = w[:, :-1], w[:, -1]
+    cond_mean = model.mean[upos] + w_u.T @ w_z
+    cond_cov = model.cov[np.ix_(upos, upos)] - w_u.T @ w_u
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
     return ConditionalState(
         tuple(int(i) for i in idx_arr),

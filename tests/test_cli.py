@@ -1,5 +1,10 @@
 """Command-line entry points."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gdas.cli import main
@@ -76,3 +81,33 @@ def test_unknown_preset_rejected():
 def test_check_requires_matching_preset(tiny_cfg):
     with pytest.raises(SystemExit, match="rounds"):
         main(["run", "--config", str(tiny_cfg), "--check"])
+
+
+# Runs the CLI in a fresh interpreter, then prints every scipy module loaded.
+_IMPORT_PROBE = """
+import sys
+
+import gdas, gdas.cli
+
+run_cfg, bandit_cfg, out = sys.argv[1:]
+assert gdas.cli.main(["run", "--config", run_cfg, "--out", out]) == 0
+assert gdas.cli.main(["bandit", "--config", bandit_cfg, "--out", out]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_imports_no_scipy(tiny_cfg, tmp_path):
+    # In a subprocess: pytest and the test modules import scipy themselves.
+    bandit_cfg = tmp_path / "bandit.cfg"
+    bandit_cfg.write_text("mode = bandit\nK = 12\nN = 2\np = 0.4\nT = 6\nruns = 2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tiny_cfg), str(bandit_cfg), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

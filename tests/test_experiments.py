@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdas.experiments as experiments
-from gdas.access import aloha_round, optimal_q, polling_round
+from gdas.access import aloha_round, expected_successes, optimal_q, polling_round
 from gdas.bandit import new_bandit_state, prediction_error_terms, select_model, update
 from gdas.config import load_scenario, parse_scenario_text, scenario_to_text
 from gdas.engine import ingest, initial_state, select_nodes
@@ -123,6 +123,30 @@ class TestRunScenario:
         res = run_scenario(s)
         assert set(res.records["delivered"]) == {1}
         assert res.stop_rounds == [12, 12, 12]
+
+    def test_bounds_use_the_fixed_q_policy(self, tmp_path):
+        # Polling fixed:1 polls one node a round: 12 / (1 * 1.0), not 12 / (3 * 1.0).
+        s = tiny(mode="polling", p=1.0, N=3, q_policy="fixed:1", kbar=None, T=20, runs=3)
+        res = run_scenario(s)
+        bounds = res.bounds()
+        assert bounds["expected_polling"] == 1.0
+        assert bounds["rounds_polling"] == res.mean_stop_round == 12.0
+        write_summary_csv(tmp_path / "summary.csv", res)
+        header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+        assert " rounds_polling=12 " in header
+        # ALOHA fixed:2 at N=3, p=0.5: the Wald bound is 12 / (2 p (1 - p/N)) = 14.4,
+        # not the 9.95 of the optimal Q = N/p = 6.
+        s = tiny(p=0.5, N=3, q_policy="fixed:2", kbar=None, T=80, runs=3)
+        bounds = run_scenario(s).bounds()
+        assert bounds["expected_aloha"] == pytest.approx(2 * 0.5 * (1 - 0.5 / 3))
+        assert bounds["rounds_aloha"] == pytest.approx(14.4)
+
+    def test_bounds_of_the_optimal_policy(self):
+        s = tiny(mode="polling", p=0.5, N=3, kbar=None, T=80, runs=2)
+        bounds = run_scenario(s).bounds()
+        assert bounds["rounds_polling"] == 12 / (3 * 0.5)
+        q = optimal_q(3, 0.5, 12)
+        assert bounds["rounds_aloha"] == 12 / expected_successes("aloha", 3, 0.5, q)
 
     def test_topq_policy_runs(self):
         res = run_scenario(tiny(q_policy="topq"))

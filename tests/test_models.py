@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve
 
 from gdas.errors import DegenerateVarianceError, NumericalDegeneracyError
 from gdas.models import (
@@ -169,6 +171,95 @@ class TestRankOneCondition:
         state = condition(model, [2], [0.0])
         with pytest.raises(ValueError, match="not in the unknown set"):
             rank_one_condition(state, 2, 1.0)
+
+
+def cho_solve_oracle(model, idx, vals):
+    """Posterior mean and covariance from two ``scipy.linalg.cho_solve`` calls."""
+    idx = np.asarray(idx)
+    zpos = idx - 1
+    upos = np.setdiff1d(np.arange(model.K), zpos)
+    chol = _spd_cholesky(model.cov[np.ix_(zpos, zpos)], labels=idx)
+    r_uz = model.cov[np.ix_(upos, zpos)]
+    mean = model.mean[upos] + r_uz @ cho_solve((chol, True), vals - model.mean[zpos])
+    cov = model.cov[np.ix_(upos, upos)] - r_uz @ cho_solve((chol, True), r_uz.T)
+    return mean, 0.5 * (cov + cov.T)
+
+
+def model_draw(model, rng):
+    """One sample of the model's measurements (also for singular covariances)."""
+    w, v = np.linalg.eigh(model.cov)
+    return model.mean + v @ (np.sqrt(np.clip(w, 0.0, None)) * rng.standard_normal(model.K))
+
+
+def assert_chain_matches_oracles(model, order, x, checkpoints):
+    """Fold ``order`` in by ``rank_one_condition``.  At each checkpoint
+    ``condition`` equals the ``cho_solve`` formulation, and the chain equals
+    ``condition``, within 1e-9 * scale."""
+    atol = 1e-9 * max(1.0, float(np.abs(model.cov).max()), float(np.abs(x).max()))
+    chain = condition(model, [], [])
+    done = 0
+    for n in checkpoints:
+        chain = rank_one_condition(chain, order[done:n], x[order[done:n] - 1])
+        done = n
+        oracle = condition(model, order[:n], x[order[:n] - 1])
+        ref_mean, ref_cov = cho_solve_oracle(model, order[:n], x[order[:n] - 1])
+        np.testing.assert_array_equal(chain.unknown_idx, oracle.unknown_idx)
+        for got, want in ((oracle.cond_mean, ref_mean), (oracle.cond_cov, ref_cov),
+                          (chain.cond_mean, oracle.cond_mean), (chain.cond_cov, oracle.cond_cov)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+class TestOracleAccuracy:
+    def test_ar1_k1000_near_unit_correlation(self, rng):
+        model = build_ar1_model(1000, 0.999)
+        order = rng.permutation(1000) + 1
+        x = model_draw(model, rng)
+        assert_chain_matches_oracles(model, order, x, [1, 10, 100, 500, 900, 999])
+
+    @pytest.mark.parametrize("noise", [1e-6, 1e-10])
+    def test_near_singular_family(self, rng, noise):
+        for model in build_model_family(100, noise=noise):
+            order = rng.permutation(100) + 1
+            assert_chain_matches_oracles(model, order, model_draw(model, rng), [5, 20, 50, 99])
+
+    def test_rank_deficient_model_on_the_jitter_path(self):
+        # Rank one: observing nodes 1 and 2 needs the jitter retry, and the
+        # other nodes are pinned at the common value.
+        model = GaussianModel(mean=np.zeros(4), cov=np.ones((4, 4)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(model.cov[:2, :2])
+        state = condition(model, [1, 2], [0.3, 0.3])
+        ref_mean, ref_cov = cho_solve_oracle(model, [1, 2], np.array([0.3, 0.3]))
+        np.testing.assert_allclose(state.cond_mean, ref_mean, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(state.cond_cov, ref_cov, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(state.cond_mean, [0.3, 0.3], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(state.cond_cov, np.zeros((2, 2)), rtol=0, atol=1e-9)
+        chain = rank_one_condition(
+            condition(model, [], []), [1, 2], [0.3, 0.3], absorb_degenerate=True
+        )
+        np.testing.assert_allclose(chain.cond_mean, state.cond_mean, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(chain.cond_cov, state.cond_cov, rtol=0, atol=1e-9)
+
+    def test_singular_beyond_jitter_raises(self):
+        # PSD within the model's tolerance (node 3's variance sets it), but the
+        # block of nodes 1 and 2 has eigenvalue -1e-8, below its 1e-10 jitter.
+        u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        cov = np.diag([0.0, 0.0, 1e6])
+        cov[:2, :2] = 1.0
+        model = GaussianModel(mean=np.zeros(3), cov=cov - 1e-8 * np.outer(u, u))
+        with pytest.raises(NumericalDegeneracyError, match="near node 2"):
+            condition(model, [1, 2], [0.0, 0.0])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_chain_equals_oracle_on_random_models(self, data):
+        k = data.draw(st.integers(2, 40), label="K")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        order = np.array(data.draw(st.permutations(range(1, k + 1)), label="order"))
+        rng = np.random.default_rng(seed)
+        model = random_psd_model(rng, k)
+        x = rng.normal(0.0, 2.0, size=k)
+        assert_chain_matches_oracles(model, order, x, range(1, k + 1))
 
 
 class TestAr1Model:
