@@ -27,13 +27,11 @@ from .bandit import (
     softmax_probs,
 )
 from .engine import (
-    SelectionCost,
     SensingState,
     ingest,
     initial_state,
     polling_order,
     select_nodes,
-    selection_costs,
 )
 from .errors import DegenerateVarianceError, NumericalDegeneracyError
 from .experiments import (

@@ -22,6 +22,7 @@ from .experiments import (
 )
 from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS, preset_names
 from .validate import (
+    ALL_CHECKS,
     DEFAULT_SEED,
     ROUNDS_ALOHA_WINDOW,
     ROUNDS_POLLING_WINDOW,
@@ -29,6 +30,7 @@ from .validate import (
     UNIFORM_TOL,
     near_uniform,
     run_all,
+    sweep_problems,
     true_model_freqs,
     true_model_leads,
 )
@@ -136,18 +138,7 @@ def cmd_sweep(args) -> int:
         )
     _write(args.out, f"sweep_{param}.csv", write_sweep_csv, result)
     if args.check:
-        bad = [
-            f"p={pt.value:g}: winner differs from the 1/e crossover prediction"
-            for pt in result.points
-            if param == "p" and pt.aloha_better != pt.aloha_favored_predicted
-        ]
-        if param == "N":
-            mses = [pt.aloha_mse for pt in result.points]
-            if any(b >= a for a, b in zip(mses, mses[1:])):
-                bad.append("aloha MSE not decreasing in N")
-            mses = [pt.polling_mse for pt in result.points]
-            if any(b >= a for a, b in zip(mses, mses[1:])):
-                bad.append("polling MSE not decreasing in N")
+        bad = sweep_problems(result)
         for item in bad:
             print(f"CHECK FAIL: {item}")
         if bad:
@@ -208,6 +199,9 @@ def _check_bandit(preset: str | None, result: BanditResult) -> list[str]:
 
 def cmd_validate(args) -> int:
     only = set(args.only.split(",")) if args.only else None
+    keys = [key for key, _ in ALL_CHECKS]
+    if only is not None and not only <= set(keys):
+        raise SystemExit(f"unknown check {sorted(only - set(keys))}; have {keys}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     results = run_all(seed=seed, only=only)
     failed = 0

@@ -1,14 +1,14 @@
 """Round-loop state and greedy minimum-MSE node selection.
 
-Each round the base station scores every unknown node by the total MSE that
-would remain over the *other* unknowns if that node's value arrived:
+Each round the base station scores every unknown node by how much the total
+conditional MSE of the unknowns would drop if that node's value arrived,
 
-    C_l = beta_l - ||r_l||^2 / nu_l
+    score_l = ||c_l||^2 / nu_l,
 
-with beta_l the residual trace excluding node l, nu_l node l's conditional
-variance and r_l its covariance column.  All three come straight from the
-current conditional covariance, so selection never looks at observed values
-(or at the hidden ground truth).
+with c_l node l's column of the current conditional covariance and nu_l its
+conditional variance.  The largest score gives the smallest next-round MSE.
+Scores come straight from the covariance, so selection never looks at
+observed values (or at the hidden ground truth).
 """
 
 from __future__ import annotations
@@ -26,20 +26,9 @@ from .models import (
     rank_one_condition,
 )
 
-# Costs within this relative band of the minimum count as tied; ties resolve
-# to the lowest node label so runs are reproducible across platforms.
+# Scores within TIE_TOLERANCE * max(1, current MSE) of the best count as tied;
+# ties resolve to the lowest node label so runs are reproducible across platforms.
 TIE_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class SelectionCost:
-    """Score of one candidate node: cost = beta - r_norm_sq / nu."""
-
-    node: int
-    cost: float
-    beta: float
-    nu: float
-    r_norm_sq: float
 
 
 @dataclass(frozen=True)
@@ -52,12 +41,18 @@ class SensingState:
 
     cond: ConditionalState
     target: np.ndarray | None
-    mse_theory: float
-    sqerr_actual: float
 
     @property
-    def known_nodes(self) -> tuple[int, ...]:
-        return self.cond.known_idx
+    def mse_theory(self) -> float:
+        return float(np.trace(self.cond.cond_cov))
+
+    @property
+    def sqerr_actual(self) -> float:
+        """Squared error of the conditional mean against ``target`` (nan without one)."""
+        if self.target is None:
+            return float("nan")
+        u = self.target[self.cond.unknown_idx - 1]
+        return float(np.sum((u - self.cond.cond_mean) ** 2))
 
     @property
     def known_count(self) -> int:
@@ -68,71 +63,24 @@ class SensingState:
         return self.cond.num_unknown
 
 
-def _squared_error(cond: ConditionalState, target: np.ndarray | None) -> float:
-    if target is None:
-        return float("nan")
-    u = target[cond.unknown_idx - 1]
-    return float(np.sum((u - cond.cond_mean) ** 2))
-
-
 def initial_state(model: GaussianModel, target: np.ndarray | None = None) -> SensingState:
     """Round-zero state: nothing observed yet."""
     if target is not None:
         target = np.asarray(target, dtype=float)
         if target.shape != (model.K,):
             raise ValueError(f"target must have shape ({model.K},)")
-    cond = condition(model, [], [])
-    return SensingState(
-        cond=cond,
-        target=target,
-        mse_theory=float(np.trace(cond.cond_cov)),
-        sqerr_actual=_squared_error(cond, target),
-    )
-
-
-def _cost_terms(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(beta, nu, r_norm_sq, cost) of every candidate, straight from the covariance."""
-    d = np.diagonal(cov)
-    beta = d.sum() - d
-    r_norm_sq = np.maximum(np.einsum("ij,ij->j", cov, cov) - d * d, 0.0)
-    gain = np.zeros_like(beta)
-    np.divide(r_norm_sq, d, out=gain, where=d > DEGENERATE_VARIANCE_EPS)
-    return beta, d, r_norm_sq, np.maximum(beta - gain, 0.0)
-
-
-def selection_costs(state: SensingState) -> list[SelectionCost]:
-    """Score every unknown node.  A single remaining node gets cost 0."""
-    cond = state.cond
-    beta, nu, r_norm_sq, costs = _cost_terms(cond.cond_cov)
-    return [
-        SelectionCost(
-            node=int(node),
-            cost=float(costs[l]),
-            beta=float(beta[l]),
-            nu=float(nu[l]),
-            r_norm_sq=float(r_norm_sq[l]),
-        )
-        for l, node in enumerate(cond.unknown_idx)
-    ]
-
-
-def _topq(cond: ConditionalState, count: int) -> list[int]:
-    """The ``count`` smallest one-shot costs; exact ties go to the lowest label."""
-    costs = _cost_terms(cond.cond_cov)[3]
-    order = np.lexsort((cond.unknown_idx, costs))
-    return [int(cond.unknown_idx[i]) for i in order[:count]]
+    return SensingState(condition(model, [], []), target)
 
 
 def _greedy(
-    covs: Sequence[np.ndarray], labels: Sequence[np.ndarray], counts: Sequence[int]
+    covs: Sequence[np.ndarray], labels: Sequence[np.ndarray], counts: Sequence[int], rescore=True
 ) -> list[list[int]]:
     """Greedy picks for a stack of posteriors, one pivoted-Cholesky step per pick.
 
-    Run b picks ``counts[b]`` of its ``labels[b]``.  Each pick maximizes
-    ``colsq_l / nu_l`` (the trace reduction of conditioning on l), which is
-    the same as minimizing ``cost_l`` since the candidates share the trace
-    term.  Ties within ``TIE_TOLERANCE`` of the maximum, on the cost scale,
-    resolve to the lowest label.
+    Run b picks ``counts[b]`` of its ``labels[b]``.  Each pick takes the
+    largest score ``colsq_l / nu_l``; scores within ``TIE_TOLERANCE`` of it
+    resolve to the lowest label.  With ``rescore`` false (the ``topq`` rule)
+    a pick only masks its node, so the picks rank the first-step scores.
 
     The covariances are zero-padded into one (B, n, n) stack ``S``.  After
     k picks the Schur complement is ``S - L^T L``, the rows of ``L`` being
@@ -170,6 +118,9 @@ def _greedy(
         picked.append(l)
         if k == steps - 1:
             break
+        if not rescore:
+            colsq[rows, l] = -np.inf
+            continue
         nu = diag[rows, l]
         good = nu > DEGENERATE_VARIANCE_EPS
         Lk = L[:, :k]
@@ -203,9 +154,11 @@ def select_nodes(
 ) -> list[int] | list[list[int]]:
     """Choose the next ``q`` nodes to request.
 
-    ``greedy`` (default) re-scores after hypothetically conditioning on each
-    pick, which accounts for redundancy between the picks; ``topq`` simply
-    takes the q smallest one-shot costs and is kept as a comparison switch.
+    Both rules rank nodes by the score of the module docstring.  ``greedy``
+    (default) re-scores after hypothetically conditioning on each pick,
+    which accounts for redundancy between the picks; ``topq`` takes the q
+    best first-step scores (its first pick is greedy's) and is kept as a
+    comparison switch.
 
     ``state`` may also be a sequence of states, one per run of a block that
     advances in lockstep; ``q`` is then a shared count or one count per
@@ -223,10 +176,8 @@ def select_nodes(
         raise ValueError(f"unknown selection rule: {rule!r}")
     conds = [st.cond for st in states]
     counts = [min(v, c.num_unknown) for v, c in zip(qs, conds)]
-    if rule == "topq":
-        picks = [_topq(c, count) for c, count in zip(conds, counts)]
-    else:
-        picks = _greedy([c.cond_cov for c in conds], [c.unknown_idx for c in conds], counts)
+    covs, labels = [c.cond_cov for c in conds], [c.unknown_idx for c in conds]
+    picks = _greedy(covs, labels, counts, rescore=rule == "greedy")
     return picks if block else picks[0]
 
 
@@ -243,12 +194,7 @@ def ingest(state: SensingState, delivered: Mapping[int, float]) -> SensingState:
     cond = rank_one_condition(
         state.cond, nodes, [float(delivered[n]) for n in nodes], absorb_degenerate=True
     )
-    return SensingState(
-        cond=cond,
-        target=state.target,
-        mse_theory=float(np.trace(cond.cond_cov)),
-        sqerr_actual=_squared_error(cond, state.target),
-    )
+    return SensingState(cond, state.target)
 
 
 def polling_order(model: GaussianModel) -> list[int]:

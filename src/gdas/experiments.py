@@ -452,6 +452,8 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
         raise ValueError("param must be 'p' or 'N'")
     if len(values) == 0:
         raise ValueError("values must be non-empty")
+    if param == "N" and any(float(v) != int(v) for v in values):
+        raise ValueError(f"N values must be integers, got {list(values)}")
     horizon = scenario.T if scenario.T is not None else 75
 
     points: list[SweepPoint] = []

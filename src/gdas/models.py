@@ -108,10 +108,6 @@ class ConditionalState:
         object.__setattr__(self, "cond_cov", cond_cov)
 
     @property
-    def K(self) -> int:
-        return len(self.known_idx) + self.unknown_idx.shape[0]
-
-    @property
     def num_unknown(self) -> int:
         return self.unknown_idx.shape[0]
 

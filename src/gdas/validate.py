@@ -15,7 +15,8 @@ import numpy as np
 from .access import aloha_round, expected_successes
 from .bandit import round_cost_from_state, softmax_probs, new_bandit_state, update
 from .engine import ingest, initial_state, polling_order, select_nodes
-from .experiments import BanditResult, Scenario, run_bandit_scenario, run_scenario, sweep
+from .experiments import BanditResult, Scenario, SweepPoint, SweepResult
+from .experiments import run_bandit_scenario, run_scenario, sweep
 from .models import GaussianModel, build_ar1_model, condition, rank_one_condition
 
 DEFAULT_SEED = 20260808
@@ -110,6 +111,28 @@ def check_throughput(seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("2 throughput-formula", started, ok, detail)
 
 
+def crossover_holds(pt: SweepPoint) -> bool:
+    """p-sweep rule: ALOHA wins where the 1/e crossover predicts it, polling elsewhere."""
+    return pt.aloha_better == pt.aloha_favored_predicted
+
+
+def sweep_problems(result: SweepResult) -> list[str]:
+    """Breaks of the ordering rule: ``crossover_holds`` at every p; in N, a strict
+    fall of each mode's final MSE."""
+    if result.param == "p":
+        return [
+            f"p={pt.value:g}: winner differs from the 1/e crossover prediction"
+            for pt in result.points
+            if not crossover_holds(pt)
+        ]
+    bad = []
+    for mode in ("aloha", "polling"):
+        mses = [getattr(pt, f"{mode}_mse") for pt in result.points]
+        if any(b >= a for a, b in zip(mses, mses[1:])):
+            bad.append(f"{mode} MSE not decreasing in N")
+    return bad
+
+
 def check_crossover(seed: int = DEFAULT_SEED) -> CheckResult:
     """Fixed-horizon p-sweep: ALOHA wins below 1/e, polling wins above."""
     started = time.perf_counter()
@@ -118,7 +141,7 @@ def check_crossover(seed: int = DEFAULT_SEED) -> CheckResult:
     parts = []
     ok = True
     for pt in table.points:
-        good = pt.aloha_better == pt.aloha_favored_predicted
+        good = crossover_holds(pt)
         ok = ok and good
         parts.append(
             f"p={pt.value:g}: aloha {pt.aloha_mse:.3g} vs polling {pt.polling_mse:.3g}"

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
+import gdas.cli as cli
 from gdas.cli import main
+from gdas.experiments import SweepPoint, SweepResult
 
 
 @pytest.fixture
@@ -66,6 +69,36 @@ def test_validate_subset(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "9 softmax-units" in out and "PASS" in out
+
+
+def test_validate_rejects_unknown_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--only", "9,10"])
+    assert str(exc.value) == (
+        "unknown check ['10']; have ['1', '2', '3', '4', '5', '6', '7', '8', '9']"
+    )
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_rejects_non_integer_n(tiny_cfg):
+    with pytest.raises(ValueError, match="N values must be integers"):
+        main(["sweep", "--config", str(tiny_cfg), "--param", "N", "--values", "1,2.5"])
+
+
+def test_sweep_check_applies_the_validate_rule(capsys):
+    points = [
+        SweepPoint("p", p, 2.0, 2.0, 1.0, 1.0, True, favored)
+        for p, favored in ((0.2, True), (0.6, False))
+    ]
+
+    def fake_sweep(scenario, param, values):
+        return SweepResult(scenario, param, points)
+
+    with patch.object(cli, "sweep", fake_sweep):
+        assert main(["sweep", "--preset", "p-sweep", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "CHECK FAIL: p=0.6: winner differs from the 1/e crossover prediction" in out
+    assert "p=0.2: winner" not in out
 
 
 def test_run_requires_config_or_preset():

@@ -1,15 +1,10 @@
-"""Selection costs, greedy node choice, ingestion, and the fixed request order."""
+"""Selection scores, greedy and top-q node choice, ingestion, and the fixed request order."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from gdas.engine import (
-    ingest,
-    initial_state,
-    polling_order,
-    select_nodes,
-    selection_costs,
-)
+from gdas.engine import TIE_TOLERANCE, ingest, initial_state, polling_order, select_nodes
 from gdas.models import GaussianModel, build_ar1_model, condition
 
 from conftest import random_psd_model
@@ -29,56 +24,111 @@ def brute_force_costs(model, known, vals):
     return out
 
 
+def band_ranking(costs, mse):
+    """Labels by ascending cost; costs within TIE_TOLERANCE * max(1, mse) of
+    the smallest left count as tied and go lowest label first."""
+    left = dict(costs)
+    tol = TIE_TOLERANCE * max(1.0, mse)
+    order = []
+    while left:
+        best = min(left.values())
+        node = min(n for n, c in left.items() if c <= best + tol)
+        order.append(node)
+        del left[node]
+    return order
+
+
 def brute_force_pick(model, known, vals):
-    costs = brute_force_costs(model, known, vals)
-    state = condition(model, known, vals)
-    tol = 1e-9 * max(1.0, float(np.trace(state.cond_cov)))
-    best = min(costs.values())
-    return min(node for node, c in costs.items() if c <= best + tol)
+    mse = float(np.trace(condition(model, known, vals).cond_cov))
+    return band_ranking(brute_force_costs(model, known, vals), mse)[0]
 
 
 class TestSelectionCosts:
+    """A node's selection cost is the residual trace after conditioning on it
+    (``brute_force_costs``); ``topq`` requests nodes in ``band_ranking`` order."""
+
     def test_two_node_symmetric_costs(self):
-        st = initial_state(build_ar1_model(2, 0.95))
-        costs = selection_costs(st)
-        assert [c.node for c in costs] == [1, 2]
-        for c in costs:
-            assert c.cost == pytest.approx(1 - 0.95 ** 2, abs=1e-12)
+        model = build_ar1_model(2, 0.95)
+        assert brute_force_costs(model, [], []) == pytest.approx(
+            {1: 1 - 0.95**2, 2: 1 - 0.95**2}, abs=1e-12
+        )
+        assert select_nodes(initial_state(model), 2, rule="topq") == [1, 2]
 
     def test_three_node_costs_single_out_the_middle(self):
-        st = initial_state(build_ar1_model(3, 0.95))
-        costs = {c.node: c.cost for c in selection_costs(st)}
+        model = build_ar1_model(3, 0.95)
+        costs = brute_force_costs(model, [], [])
         assert costs[2] == pytest.approx(0.1950, abs=1e-4)
         assert costs[1] == pytest.approx(0.2830, abs=1e-4)
         assert costs[3] == pytest.approx(costs[1], abs=1e-12)
+        assert select_nodes(initial_state(model), 3, rule="topq") == [2, 1, 3]
 
     def test_independent_nodes_offer_no_reduction(self):
         sigma_sq = 2.5
-        st = initial_state(GaussianModel(mean=np.zeros(4), cov=sigma_sq * np.eye(4)))
-        for c in selection_costs(st):
-            assert c.cost == pytest.approx(3 * sigma_sq, abs=1e-12)
-            assert c.r_norm_sq == pytest.approx(0.0, abs=1e-12)
+        model = GaussianModel(mean=np.zeros(4), cov=sigma_sq * np.eye(4))
+        assert brute_force_costs(model, [], []) == pytest.approx(
+            dict.fromkeys(range(1, 5), 3 * sigma_sq), abs=1e-12
+        )
+        assert select_nodes(initial_state(model), 4, rule="topq") == [1, 2, 3, 4]
 
     def test_single_unknown_gets_zero_cost(self):
         model = build_ar1_model(2, 0.5)
         st = ingest(initial_state(model), {1: 0.0})
-        costs = selection_costs(st)
-        assert len(costs) == 1
-        assert costs[0].node == 2
-        assert costs[0].cost == 0.0
-
-    def test_cost_bounds(self, rng):
-        for _ in range(20):
-            st = initial_state(random_psd_model(rng, int(rng.integers(2, 15))))
-            for c in selection_costs(st):
-                assert 0.0 <= c.cost <= c.beta + 1e-12
+        assert brute_force_costs(model, [1], [0.0]) == {2: 0.0}
+        assert select_nodes(st, 3, rule="topq") == [2]
 
     def test_matches_brute_force_values(self, rng):
-        model = random_psd_model(rng, 7)
-        st = initial_state(model)
-        brute = brute_force_costs(model, [], [])
-        for c in selection_costs(st):
-            assert c.cost == pytest.approx(brute[c.node], abs=1e-9)
+        for trial in range(40):
+            k = int(rng.integers(2, 12))
+            if trial % 2 == 0:
+                model = build_ar1_model(k, float(rng.uniform(0.3, 0.98)))
+            else:
+                model = random_psd_model(rng, k)
+            known = [int(n) for n in rng.permutation(k)[: int(rng.integers(0, k - 1))] + 1]
+            vals = [float(v) for v in rng.normal(size=len(known))]
+            st = initial_state(model)
+            if known:
+                st = ingest(st, dict(zip(known, vals)))
+            expected = band_ranking(brute_force_costs(model, known, vals), st.mse_theory)
+            assert select_nodes(st, k, rule="topq") == expected
+
+
+class TestTopq:
+    def test_mirror_images_tie_to_the_lower_label(self):
+        # Nodes 1 and 4 (and 2 and 3) are mirror images on the AR(1) line.
+        st = initial_state(build_ar1_model(4, 0.9))
+        assert select_nodes(st, 4, rule="topq") == [2, 3, 1, 4]
+
+    def test_first_pick_is_greedys_on_the_ar1_grid(self):
+        grid = [(k, rho) for k in range(2, 40) for rho in (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+        states = [initial_state(build_ar1_model(k, rho)) for k, rho in grid]
+        topq = select_nodes(states, 1, rule="topq")
+        assert topq == select_nodes(states, 1)
+        # One state at a time, as a run alone would ask.
+        assert [select_nodes(st, 1, rule="topq") for st in states] == topq
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=strategies.data())
+    def test_first_pick_is_greedys_on_random_models(self, data):
+        # A mirrored model (swapping nodes l and K+1-l leaves it unchanged)
+        # observed on a mirrored set has exact ties, which both rules must
+        # break the same way.
+        k = data.draw(strategies.integers(2, 30), label="K")
+        seed = data.draw(strategies.integers(0, 2**32 - 1), label="seed")
+        mirror = data.draw(strategies.booleans(), label="mirror")
+        known = data.draw(
+            strategies.lists(strategies.integers(1, k), unique=True, max_size=k - 1),
+            label="known",
+        )
+        rng = np.random.default_rng(seed)
+        model = random_psd_model(rng, k)
+        if mirror:
+            cov = 0.5 * (model.cov + model.cov[::-1, ::-1])
+            model = GaussianModel(mean=model.mean, cov=cov)
+            known = sorted(set(known) | {k + 1 - n for n in known})[: k - 1]
+        state = initial_state(model)
+        if known:
+            state = ingest(state, {n: float(v) for n, v in zip(known, rng.normal(size=k))})
+        assert select_nodes(state, 1, rule="topq") == select_nodes(state, 1)
 
 
 class TestSelectNodes:
@@ -149,10 +199,10 @@ class TestSelectNodes:
         assert achieved == pytest.approx(best_with_3, abs=1e-12)
 
     def test_topq_rule_takes_smallest_one_shot_costs(self):
-        st = initial_state(build_ar1_model(5, 0.95))
-        costs = sorted(selection_costs(st), key=lambda c: (c.cost, c.node))
-        expected = [c.node for c in costs[:2]]
-        assert select_nodes(st, 2, rule="topq") == expected
+        model = build_ar1_model(5, 0.95)
+        st = initial_state(model)
+        expected = band_ranking(brute_force_costs(model, [], []), st.mse_theory)[:2]
+        assert select_nodes(st, 2, rule="topq") == expected == [3, 2]
 
     def test_unknown_rule_rejected(self):
         st = initial_state(build_ar1_model(3, 0.5))
@@ -200,7 +250,7 @@ class TestIngest:
         seen = set()
         for batch in ([3], [5, 1], [], [8, 2]):
             st = ingest(st, {n: x[n - 1] for n in batch})
-            now = set(st.known_nodes)
+            now = set(st.cond.known_idx)
             assert seen <= now
             seen = now
         assert seen == {1, 2, 3, 5, 8}

@@ -404,6 +404,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(tiny(), "rho", [0.1])
 
+    def test_non_integer_n_rejected(self):
+        # int(2.5) would run N=2 under the label 2.5.
+        with pytest.raises(ValueError, match="N values must be integers"):
+            sweep(tiny(T=5, runs=2), "N", [1, 2.5])
+
 
 class TestBanditScenario:
     def test_smoke_and_record_shape(self):

@@ -6,6 +6,7 @@ from unittest.mock import patch
 import numpy as np
 
 import gdas.validate as validate
+from gdas.experiments import Scenario, SweepPoint, SweepResult
 from gdas.validate import ROUNDS_ALOHA_WINDOW, _compare, _window
 
 
@@ -79,3 +80,30 @@ def test_softmax_report_names_the_failing_part():
     assert not res.passed
     assert "shift invariance err" in res.detail and "<= 1e-12" in res.detail
     assert "> 1e-9" in res.detail
+
+
+def test_crossover_rule_is_check_3s():
+    points = [
+        SweepPoint("p", p, 2.0, 2.0, 1.0, 1.0, True, favored)
+        for p, favored in ((0.2, True), (0.6, False))
+    ]
+    table = SweepResult(Scenario(), "p", points)
+    assert validate.sweep_problems(table) == [
+        "p=0.6: winner differs from the 1/e crossover prediction"
+    ]
+    with patch.object(validate, "sweep", lambda base, param, values: table):
+        res = validate.check_crossover()
+    assert not res.passed
+    assert res.detail == (
+        "p=0.2: aloha 1 vs polling 2 [ok]; p=0.6: aloha 1 vs polling 2 [WRONG ORDER]"
+    )
+
+
+def test_n_sweep_rule_wants_a_strict_decrease_in_each_mode():
+    mses = ((1, 3.0, 2.0), (2, 3.0, 1.0), (4, 1.0, 1.0))
+    points = [SweepPoint("N", n, pm, pm, am, am, am < pm, True) for n, pm, am in mses]
+    assert validate.sweep_problems(SweepResult(Scenario(), "N", points)) == [
+        "aloha MSE not decreasing in N",
+        "polling MSE not decreasing in N",
+    ]
+    assert validate.sweep_problems(SweepResult(Scenario(), "N", points[:1])) == []
