@@ -71,30 +71,18 @@ def _check_requested(requested: Sequence[int]) -> tuple[int, ...]:
     return req
 
 
-def _responders(
-    req: tuple[int, ...], p: float | Sequence[float], rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Requested nodes whose upload succeeds: one uniform draw per node, in order.
-
-    ``p`` is one probability for every node or one per requested node.
-    """
-    if np.ndim(p) == 0:
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
-    else:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (len(req),):
-            raise ValueError("per-node p must match the requested list length")
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ValueError("probabilities must lie in [0, 1]")
+def _responders(req: tuple[int, ...], p: float, rng: np.random.Generator) -> tuple[int, ...]:
+    """Requested nodes whose upload succeeds: one uniform draw per node, in order."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probabilities must lie in [0, 1]")
     return tuple(compress(req, (rng.random(len(req)) < p).tolist()))
 
 
 def polling_round(
     requested: Sequence[int],
     n_channels: int,
-    p: float | Sequence[float],
+    p: float,
     rng: np.random.Generator,
 ) -> RoundOutcome:
     """One round of dedicated-channel polling: every responder gets through."""
@@ -116,7 +104,7 @@ def polling_round(
 def aloha_round(
     requested: Sequence[int],
     n_channels: int,
-    p: float | Sequence[float],
+    p: float,
     rng: np.random.Generator,
 ) -> RoundOutcome:
     """One slotted multichannel ALOHA round.

@@ -40,13 +40,6 @@ class BanditState:
         object.__setattr__(self, "cost_sum", cost_sum)
         object.__setattr__(self, "count", count)
 
-    def sample_means(self) -> np.ndarray:
-        """Running mean cost per arm (nan where an arm has no samples yet)."""
-        out = np.full(self.arms, np.nan)
-        seen = self.count > 0
-        out[seen] = self.cost_sum[seen] / self.count[seen]
-        return out
-
 
 def new_bandit_state(arms: int, tau: float) -> BanditState:
     if arms < 2:
@@ -83,6 +76,16 @@ def prediction_error_terms(
     return float(np.sum((vals - mu) ** 2)), float(np.trace(sub))
 
 
+def cost_ratio(sqerr: float, expected: float) -> float:
+    """The cost Y = sqerr / expected from ``prediction_error_terms``' two terms;
+    raises ``NumericalDegeneracyError`` when ``expected`` is below ``DEGENERATE_COST_EPS``."""
+    if expected < DEGENERATE_COST_EPS:
+        raise NumericalDegeneracyError(
+            "model assigns (near-)zero conditional variance to the delivered nodes"
+        )
+    return sqerr / expected
+
+
 def round_cost_from_state(
     cond: ConditionalState,
     delivered_idx: Sequence[int],
@@ -94,12 +97,7 @@ def round_cost_from_state(
     candidate model.  Under the data-generating model E[Y] = 1; a mismatched
     model inflates it.
     """
-    sqerr, expected = prediction_error_terms(cond, delivered_idx, delivered_vals)
-    if expected < DEGENERATE_COST_EPS:
-        raise NumericalDegeneracyError(
-            "model assigns (near-)zero conditional variance to the delivered nodes"
-        )
-    return sqerr / expected
+    return cost_ratio(*prediction_error_terms(cond, delivered_idx, delivered_vals))
 
 
 def softmax_probs(state: BanditState) -> np.ndarray:

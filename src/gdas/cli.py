@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .config import load_scenario
+from .errors import NumericalDegeneracyError
 from .experiments import (
-    BanditResult,
     RunResult,
     Scenario,
     run_bandit_scenario,
@@ -20,20 +19,8 @@ from .experiments import (
     write_summary_csv,
     write_sweep_csv,
 )
-from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS, preset_names
-from .validate import (
-    ALL_CHECKS,
-    DEFAULT_SEED,
-    ROUNDS_ALOHA_WINDOW,
-    ROUNDS_POLLING_WINDOW,
-    UNIFORM_FREQ,
-    UNIFORM_TOL,
-    near_uniform,
-    run_all,
-    sweep_problems,
-    true_model_freqs,
-    true_model_leads,
-)
+from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS
+from .validate import ALL_CHECKS, DEFAULT_SEED, preset_rule, run_all, sweep_problems
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -65,15 +52,32 @@ def _preset_or_config(args, presets: dict, kind: str):
     if args.preset is None:
         return None
     if args.preset not in presets:
-        raise SystemExit(f"unknown {kind} preset {args.preset!r}; have {preset_names()[kind]}")
+        raise SystemExit(f"unknown {kind} preset {args.preset!r}; have {sorted(presets)}")
     return presets[args.preset]
 
 
-def _scenarios_for_run(args) -> list[tuple[str, Scenario]]:
-    preset = _preset_or_config(args, RUN_PRESETS, "run")
-    if preset is None:
-        return [("scenario", load_scenario(args.config))]
-    return list(preset)
+def _rule(args, presets: dict, kind: str, config_rule=None):
+    """The rule ``--check`` applies: ``--preset``'s, else ``config_rule``; None without it."""
+    if not args.check:
+        return None
+    rule = preset_rule(args.preset) or config_rule
+    if rule is None:
+        checked = [name for name in sorted(presets) if preset_rule(name) is not None]
+        raise SystemExit(f"--check is defined for the {kind} presets {checked}")
+    return rule
+
+
+def _check(rule, result, passed: str) -> int:
+    """Print each problem ``rule`` finds in ``result`` (exit code 1), else ``passed``."""
+    if rule is None:
+        return 0
+    problems = rule(result)
+    for msg in problems:
+        print(f"CHECK FAIL: {msg}")
+    if problems:
+        return 1
+    print(f"CHECK PASS: {passed}")
+    return 0
 
 
 def _write(out: Path | None, name: str, writer, payload) -> None:
@@ -83,44 +87,36 @@ def _write(out: Path | None, name: str, writer, payload) -> None:
     writer(out / name, payload)
 
 
-def _check_rounds(results: dict[str, RunResult]) -> list[str]:
-    problems = []
-    for label, (lo, hi) in (("polling", ROUNDS_POLLING_WINDOW), ("aloha", ROUNDS_ALOHA_WINDOW)):
-        result = results.get(label)
-        if result is not None and not lo <= result.mean_stop_round <= hi:
-            problems.append(f"{label} mean stop {result.mean_stop_round:.2f} outside [{lo}, {hi}]")
-    return problems
-
-
 def cmd_run(args) -> int:
+    scenarios = _preset_or_config(args, RUN_PRESETS, "run") or [
+        ("scenario", load_scenario(args.config))
+    ]
+    rule = _rule(args, RUN_PRESETS, "run")
     results: dict[str, RunResult] = {}
-    for label, scenario in _scenarios_for_run(args):
+    for label, scenario in scenarios:
         scenario = _apply_overrides(scenario, args)
         result = run_scenario(scenario)
         results[label] = result
         bounds = result.bounds()
+        stop = f"mean stop round {result.mean_stop_round:.2f}"
+        if result.censored_runs == scenario.run_count:
+            stop = f"no run reached kbar={scenario.stop_threshold}"
         print(
-            f"{label}: mean stop round {result.mean_stop_round:.2f} over "
+            f"{label}: {stop} over "
             f"{scenario.run_count} runs (closed form {bounds['rounds_' + scenario.mode]:.2f}; "
             f"censored {result.censored_runs})"
         )
         _write(args.out, f"rounds_{label}.csv", write_rounds_csv, result)
         _write(args.out, f"summary_{label}.csv", write_summary_csv, result)
-    if args.check:
-        if args.preset != "rounds":
-            raise SystemExit("--check is defined for the 'rounds' preset")
-        problems = _check_rounds(results)
-        for msg in problems:
-            print(f"CHECK FAIL: {msg}")
-        if problems:
-            return 1
-        print("CHECK PASS: stop rounds within the documented windows")
-    return 0
+    return _check(rule, results, "stop rounds within the documented windows")
 
 
 def cmd_sweep(args) -> int:
     preset = _preset_or_config(args, SWEEP_PRESETS, "sweep")
+    rule = _rule(args, SWEEP_PRESETS, "sweep", config_rule=sweep_problems)
     if preset is not None:
+        if args.param is not None or args.values is not None:
+            raise SystemExit(f"--param and --values are for --config sweeps, not {args.preset!r}")
         scenario, param, values = preset
     else:
         scenario = load_scenario(args.config)
@@ -137,18 +133,12 @@ def cmd_sweep(args) -> int:
             f" -> {winner} (predicted {'aloha' if pt.aloha_favored_predicted else 'polling'})"
         )
     _write(args.out, f"sweep_{param}.csv", write_sweep_csv, result)
-    if args.check:
-        bad = sweep_problems(result)
-        for item in bad:
-            print(f"CHECK FAIL: {item}")
-        if bad:
-            return 1
-        print("CHECK PASS: sweep ordering matches the closed-form prediction")
-    return 0
+    return _check(rule, result, "sweep ordering matches the closed-form prediction")
 
 
 def cmd_bandit(args) -> int:
     scenario = _preset_or_config(args, BANDIT_PRESETS, "bandit")
+    rule = _rule(args, BANDIT_PRESETS, "bandit")
     if scenario is None:
         scenario = load_scenario(args.config)
     scenario = _apply_overrides(scenario, args)
@@ -162,39 +152,7 @@ def cmd_bandit(args) -> int:
     )
     _write(args.out, "rounds_bandit.csv", write_rounds_csv, result)
     _write(args.out, "summary_bandit.csv", write_summary_csv, result)
-    if args.check:
-        problems = _check_bandit(args.preset, result)
-        for msg in problems:
-            print(f"CHECK FAIL: {msg}")
-        if problems:
-            return 1
-        print("CHECK PASS: bandit behavior matches the documented property")
-    return 0
-
-
-def _check_bandit(preset: str | None, result: BanditResult) -> list[str]:
-    if preset is None:
-        raise SystemExit("--check is defined for bandit presets only")
-    problems = []
-    if preset == "bandit-tau1":
-        for t, lead in true_model_leads(result).items():
-            if lead <= 0:
-                problems.append(f"round {t}: true model not leading (lead {lead:.3f})")
-    elif preset == "bandit-tau20":
-        for t, freq in true_model_freqs(result).items():
-            if not near_uniform(freq):
-                problems.append(
-                    f"round {t}: frequency {freq:.3f} outside {UNIFORM_FREQ}+-{UNIFORM_TOL}"
-                )
-    elif preset == "mismatch":
-        for row in result.summary_rows():
-            emp = row["mean_sqerr_delivered"]
-            theo = row["mean_mse_delivered_true"]
-            if not (math.isnan(emp) or math.isnan(theo)) and emp < theo:
-                problems.append(
-                    f"round {row['t']}: wrong-model error {emp:.3g} below true-model MSE {theo:.3g}"
-                )
-    return problems
+    return _check(rule, result, "bandit behavior matches the documented property")
 
 
 def cmd_validate(args) -> int:
@@ -246,7 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, NumericalDegeneracyError) as exc:
+        raise SystemExit(f"gdas {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

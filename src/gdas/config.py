@@ -10,7 +10,7 @@ One assignment per line, ``#`` comments, keys matching Scenario fields::
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -52,12 +52,8 @@ def parse_scenario_text(text: str) -> Scenario:
     return Scenario(**values)
 
 
-def load_scenario(path, **overrides) -> Scenario:
-    scenario = parse_scenario_text(Path(path).read_text(encoding="utf-8"))
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario
+def load_scenario(path) -> Scenario:
+    return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
 
 
 def scenario_to_text(scenario: Scenario) -> str:

@@ -25,6 +25,7 @@ from .access import (
 )
 from .bandit import (
     BanditState,
+    cost_ratio,
     new_bandit_state,
     prediction_error_terms,
     select_model,
@@ -393,7 +394,7 @@ def _run_block(
                     _, expected_true = prediction_error_terms(
                         states[true_idx].cond, delivered, vals
                     )
-                    cost = sqerr_d / expected_d
+                    cost = cost_ratio(sqerr_d, expected_d)
                     if scenario.fixed_model is None:
                         bsts[i] = update(bsts[i], m, cost)
                 else:

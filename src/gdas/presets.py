@@ -50,10 +50,3 @@ BANDIT_PRESETS: dict[str, Scenario] = {
     ),
 }
 
-
-def preset_names() -> dict[str, list[str]]:
-    return {
-        "run": sorted(RUN_PRESETS),
-        "sweep": sorted(SWEEP_PRESETS),
-        "bandit": sorted(BANDIT_PRESETS),
-    }

@@ -2,6 +2,9 @@
 
 Each check runs a frozen-seed experiment and compares the outcome against
 its pinned tolerance; the CLI turns any failure into a nonzero exit code.
+The rules that ``gdas run|sweep|bandit --preset P --check`` applies live here
+too (``preset_rule``), and checks 1, 3 and 8 run those presets' scenarios
+under the same rules.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import numpy as np
 from .access import aloha_round, expected_successes
 from .bandit import round_cost_from_state, softmax_probs, new_bandit_state, update
 from .engine import ingest, initial_state, polling_order, select_nodes
-from .experiments import BanditResult, Scenario, SweepPoint, SweepResult
+from .experiments import BanditResult, RunResult, Scenario, SweepPoint, SweepResult
 from .experiments import run_bandit_scenario, run_scenario, sweep
 from .models import GaussianModel, build_ar1_model, condition, rank_one_condition
+from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS
 
 DEFAULT_SEED = 20260808
 
@@ -48,41 +52,55 @@ def _window(text: str, value: float, window: tuple[float, float]) -> str:
     return f"{text} {value:.2f} {where} [{lo}, {hi}]"
 
 
+def _stating(detail: str, problems: list[str]) -> str:
+    """``detail`` and the first of ``problems`` that it does not state already."""
+    extra = [p for p in problems if p not in detail]
+    more = f" (+{len(extra) - 1} more)" if len(extra) > 1 else ""
+    return f"{detail}; {extra[0]}{more}" if extra else detail
+
+
 # Check 1's windows on the mean stop round: 5% around the 93.75 polling
 # closed form; the 49.7 closed form is a lower bound for ALOHA.
 ROUNDS_POLLING_WINDOW = (89.1, 98.4)
 ROUNDS_ALOHA_WINDOW = (49.7, 56.0)
+ROUNDS_WINDOWS = {"polling": ROUNDS_POLLING_WINDOW, "aloha": ROUNDS_ALOHA_WINDOW}
 ROUNDS_BUDGET_S = 30.0
 
 
-def check_round_counts(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Mean rounds to collect 75 of 100 measurements, 500 runs per mode.
+def rounds_problems(results: dict[str, RunResult]) -> list[str]:
+    """The ``rounds`` rule: each mode's mean stop round in its window, no run censored."""
+    problems = []
+    for label, res in results.items():
+        lo, hi = ROUNDS_WINDOWS[label]
+        if not lo <= res.mean_stop_round <= hi:
+            problems.append(_window(f"{label} mean stop", res.mean_stop_round, (lo, hi)))
+    censored = sum(res.censored_runs for res in results.values())
+    if censored:
+        problems.append(f"censored runs {censored}")
+    return problems
 
-    Polling must land within 5% of the 93.75 closed form; ALOHA within
+
+def check_round_counts(seed: int = DEFAULT_SEED) -> CheckResult:
+    """The ``rounds`` preset (polling at ``seed``, ALOHA at ``seed + 1``) under
+    its rule: polling within 5% of the 93.75 closed form, ALOHA within
     [49.7, 56.0] (its 49.7 closed form is a lower bound).  Budget: 30 s.
     """
     started = time.perf_counter()
-    base = Scenario(K=100, rho=0.95, N=4, p=0.2, kbar=75, runs=500, seed=seed)
-    res_polling = run_scenario(replace(base, mode="polling", T=250))
-    res_aloha = run_scenario(replace(base, mode="aloha", T=150, seed=seed + 1))
+    results = {
+        label: run_scenario(replace(scenario, seed=seed + i))
+        for i, (label, scenario) in enumerate(RUN_PRESETS["rounds"])
+    }
     elapsed = time.perf_counter() - started
-    mp = res_polling.mean_stop_round
-    ma = res_aloha.mean_stop_round
-    censored = res_polling.censored_runs + res_aloha.censored_runs
+    problems = rounds_problems(results)
     in_time = elapsed < ROUNDS_BUDGET_S
-    ok = (
-        censored == 0
-        and ROUNDS_POLLING_WINDOW[0] <= mp <= ROUNDS_POLLING_WINDOW[1]
-        and ROUNDS_ALOHA_WINDOW[0] <= ma <= ROUNDS_ALOHA_WINDOW[1]
-        and in_time
-    )
-    detail = (
-        f"{_window('polling mean stop', mp, ROUNDS_POLLING_WINDOW)}; "
-        f"{_window('aloha mean stop', ma, ROUNDS_ALOHA_WINDOW)}; "
-        f"censored runs {censored}; "
-        + _compare(f"{elapsed:.1f}s", in_time, "<", f"{ROUNDS_BUDGET_S:g}s")
-    )
-    return _result("1 round-counts", started, ok, detail)
+    parts = [
+        _window(f"{label} mean stop", res.mean_stop_round, ROUNDS_WINDOWS[label])
+        for label, res in results.items()
+    ]
+    parts.append(f"censored runs {sum(res.censored_runs for res in results.values())}")
+    parts.append(_compare(f"{elapsed:.1f}s", in_time, "<", f"{ROUNDS_BUDGET_S:g}s"))
+    detail = _stating("; ".join(parts), problems)
+    return _result("1 round-counts", started, not problems and in_time, detail)
 
 
 def check_throughput(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -136,8 +154,8 @@ def sweep_problems(result: SweepResult) -> list[str]:
 def check_crossover(seed: int = DEFAULT_SEED) -> CheckResult:
     """Fixed-horizon p-sweep: ALOHA wins below 1/e, polling wins above."""
     started = time.perf_counter()
-    base = Scenario(mode="aloha", K=100, N=4, p=0.2, T=75, runs=100, seed=seed)
-    table = sweep(base, "p", [0.1, 0.2, 0.3, 0.45, 0.6])
+    base, param, values = SWEEP_PRESETS["p-sweep"]
+    table = sweep(replace(base, seed=seed), param, values)
     parts = []
     ok = True
     for pt in table.points:
@@ -358,26 +376,67 @@ def true_model_freqs(result: BanditResult) -> dict[int, float]:
     return {t: float(freq[t]) for t in range(2 * result.scenario.M, len(freq))}
 
 
-def near_uniform(freq: float) -> bool:
-    return abs(freq - UNIFORM_FREQ) <= UNIFORM_TOL
+def lead_problems(result: BanditResult) -> list[str]:
+    """The ``bandit-tau1`` rule: the true model strictly leads from round 2·M on."""
+    return [
+        f"round {t}: true model not leading (lead {lead:.3f})"
+        for t, lead in true_model_leads(result).items()
+        if lead <= 0
+    ]
+
+
+def band_problems(result: BanditResult) -> list[str]:
+    """The ``bandit-tau20`` rule: the true model's frequency stays in
+    UNIFORM_FREQ +- UNIFORM_TOL from round 2·M on."""
+    return [
+        f"round {t}: frequency {freq:.3f} outside {UNIFORM_FREQ}+-{UNIFORM_TOL}"
+        for t, freq in true_model_freqs(result).items()
+        if not abs(freq - UNIFORM_FREQ) <= UNIFORM_TOL
+    ]
+
+
+def mismatch_problems(result: BanditResult) -> list[str]:
+    """The ``mismatch`` rule: the wrong model's per-round squared error is never
+    below the true model's conditional MSE of the same deliveries."""
+    return [
+        f"round {row['t']}: wrong-model error {row['mean_sqerr_delivered']:.3g} "
+        f"below true-model MSE {row['mean_mse_delivered_true']:.3g}"
+        for row in result.summary_rows()
+        if row["mean_sqerr_delivered"] < row["mean_mse_delivered_true"]
+    ]
+
+
+def preset_rule(preset: str | None):
+    """The rule ``--check`` applies to ``preset``'s result (a list of problems), or None.
+
+    Checks 1 and 8 decide through the same functions, and check 3 through
+    ``crossover_holds``; the table is built per call.
+    """
+    return {
+        "rounds": rounds_problems,
+        "p-sweep": sweep_problems,
+        "n-sweep": sweep_problems,
+        "bandit-tau1": lead_problems,
+        "bandit-tau20": band_problems,
+        "mismatch": mismatch_problems,
+    }.get(preset)
 
 
 def check_bandit_behavior(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Softmax model selection: tau=1 locks onto the true model, tau=20 stays
-    near uniform, and the true-model cost averages 1."""
+    """Softmax model selection: tau=1 locks onto the true model (the first 40
+    rounds of ``bandit-tau1``), tau=20 stays near uniform (``bandit-tau20``),
+    and the true-model cost averages 1."""
     started = time.perf_counter()
-    res1 = run_bandit_scenario(
-        Scenario(mode="bandit", K=100, p=0.2, N=4, tau=1.0, runs=200, T=40, seed=seed)
-    )
+    res1 = run_bandit_scenario(replace(BANDIT_PRESETS["bandit-tau1"], T=40, seed=seed))
     leads = true_model_leads(res1)
     min_gap = min(leads.values())
-    lead_ok = min_gap > 0
+    lead_bad = lead_problems(res1)
+    lead_ok = not lead_bad
 
-    res20 = run_bandit_scenario(
-        Scenario(mode="bandit", K=100, p=0.2, N=4, tau=20.0, runs=500, T=30, seed=seed + 1)
-    )
+    res20 = run_bandit_scenario(replace(BANDIT_PRESETS["bandit-tau20"], seed=seed + 1))
     band = list(true_model_freqs(res20).values())
-    band_ok = all(near_uniform(v) for v in band)
+    band_bad = band_problems(res20)
+    band_ok = not band_bad
 
     # Mean normalized true-model cost over 1e4 simulated delivery rounds.
     rng = np.random.default_rng(seed + 2)
@@ -408,7 +467,7 @@ def check_bandit_behavior(seed: int = DEFAULT_SEED) -> CheckResult:
         f"true-model mean cost {mean_cost:.4f} {'in' if cost_ok else 'outside'} 1+-0.05 "
         f"over {n_samples} samples"
     )
-    return _result("8 bandit-behavior", started, ok, detail)
+    return _result("8 bandit-behavior", started, ok, _stating(detail, lead_bad + band_bad))
 
 
 def check_softmax_units(seed: int = DEFAULT_SEED) -> CheckResult:

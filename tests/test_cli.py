@@ -9,6 +9,7 @@ from unittest.mock import patch
 import pytest
 
 import gdas.cli as cli
+import gdas.validate as validate
 from gdas.cli import main
 from gdas.experiments import SweepPoint, SweepResult
 
@@ -81,8 +82,44 @@ def test_validate_rejects_unknown_check(capsys):
 
 
 def test_sweep_rejects_non_integer_n(tiny_cfg):
-    with pytest.raises(ValueError, match="N values must be integers"):
+    with pytest.raises(SystemExit, match="N values must be integers"):
         main(["sweep", "--config", str(tiny_cfg), "--param", "N", "--values", "1,2.5"])
+
+
+def test_invalid_config_value_exits_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mode = aloha\nK = 12\np = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert str(exc.value) == "gdas run: p must lie in (0, 1]"
+    assert capsys.readouterr().out == ""
+
+
+def test_degenerate_model_family_exits_with_one_line(tmp_path):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text("mode = bandit\nK = 100\nfamily_noise = 1e-14\nruns = 8\nseed = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bandit", "--config", str(cfg)])
+    assert str(exc.value) == (
+        "gdas bandit: model assigns (near-)zero conditional variance to the delivered nodes"
+    )
+
+
+def test_sweep_preset_rejects_param_and_values(capsys):
+    for extra in (["--param", "N"], ["--values", "1,2"]):
+        with pytest.raises(SystemExit, match="--param and --values are for --config sweeps"):
+            main(["sweep", "--preset", "p-sweep", *extra])
+    assert capsys.readouterr().out == ""
+
+
+def test_run_says_when_no_run_reached_kbar(tmp_path, capsys):
+    cfg = tmp_path / "censored.cfg"
+    cfg.write_text("mode = aloha\nK = 12\nN = 2\np = 0.4\nkbar = 12\nT = 12\nruns = 3\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("scenario: no run reached kbar=12 over 3 runs (closed form ")
+    assert out.rstrip().endswith("censored 3)")
+    assert "nan" not in out
 
 
 def test_sweep_check_applies_the_validate_rule(capsys):
@@ -99,6 +136,26 @@ def test_sweep_check_applies_the_validate_rule(capsys):
     out = capsys.readouterr().out
     assert "CHECK FAIL: p=0.6: winner differs from the 1/e crossover prediction" in out
     assert "p=0.2: winner" not in out
+
+
+# Every preset with a --check and the validate rule it applies.
+CHECKED_PRESETS = [
+    ("run", "rounds", "rounds_problems"),
+    ("sweep", "p-sweep", "sweep_problems"),
+    ("sweep", "n-sweep", "sweep_problems"),
+    ("bandit", "bandit-tau1", "lead_problems"),
+    ("bandit", "bandit-tau20", "band_problems"),
+    ("bandit", "mismatch", "mismatch_problems"),
+]
+
+
+@pytest.mark.parametrize("command, preset, rule", CHECKED_PRESETS)
+def test_check_reports_the_validate_rule(command, preset, rule, capsys):
+    with patch.object(validate, rule, lambda result: ["injected problem"]):
+        assert main([command, "--preset", preset, "--runs", "2", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "\nCHECK FAIL: injected problem\n" in out
+    assert "CHECK PASS" not in out
 
 
 def test_run_requires_config_or_preset():

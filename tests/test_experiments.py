@@ -15,6 +15,7 @@ from gdas.access import aloha_round, expected_successes, optimal_q, polling_roun
 from gdas.bandit import new_bandit_state, prediction_error_terms, select_model, update
 from gdas.config import load_scenario, parse_scenario_text, scenario_to_text
 from gdas.engine import ingest, initial_state, select_nodes
+from gdas.errors import NumericalDegeneracyError
 from gdas.experiments import (
     Scenario,
     _run_rng,
@@ -442,6 +443,14 @@ class TestBanditScenario:
         res = run_bandit_scenario(s)
         assert res.records["delivered"].max() <= 1
 
+    def test_degenerate_cost_raises(self):
+        # At this family noise some arms give delivered nodes a conditional
+        # variance below DEGENERATE_COST_EPS; the ratio (up to ~1e13 here)
+        # must not reach the bandit.
+        s = Scenario(mode="bandit", K=100, family_noise=1e-14, runs=8, seed=3)
+        with pytest.raises(NumericalDegeneracyError, match="zero conditional variance"):
+            run_bandit_scenario(s)
+
     def test_requires_bandit_mode(self):
         with pytest.raises(ValueError, match="bandit"):
             run_bandit_scenario(tiny())
@@ -529,5 +538,5 @@ class TestConfigFiles:
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("mode = aloha\nK = 15\nseed = 4\n")
-        s = load_scenario(path, seed=77, runs=3)
+        s = replace(load_scenario(path), seed=77, runs=3)
         assert s.K == 15 and s.seed == 77 and s.runs == 3

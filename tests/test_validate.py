@@ -6,7 +6,7 @@ from unittest.mock import patch
 import numpy as np
 
 import gdas.validate as validate
-from gdas.experiments import Scenario, SweepPoint, SweepResult
+from gdas.experiments import RunResult, Scenario, SweepPoint, SweepResult
 from gdas.validate import ROUNDS_ALOHA_WINDOW, _compare, _window
 
 
@@ -107,3 +107,24 @@ def test_n_sweep_rule_wants_a_strict_decrease_in_each_mode():
         "polling MSE not decreasing in N",
     ]
     assert validate.sweep_problems(SweepResult(Scenario(), "N", points[:1])) == []
+
+
+def test_rounds_rule_names_windows_and_censored_runs():
+    def result(stops):
+        return RunResult(Scenario(), None, stops)
+
+    assert validate.rounds_problems({"polling": result([93, 94]), "aloha": result([50])}) == []
+    assert validate.rounds_problems({"polling": result([80, 81]), "aloha": result([49, 50])}) == [
+        "polling mean stop 80.50 outside [89.1, 98.4]",
+        "aloha mean stop 49.50 outside [49.7, 56.0]",
+    ]
+    assert validate.rounds_problems({"aloha": result([50, None, None])}) == ["censored runs 2"]
+
+
+def test_round_counts_fail_with_the_rounds_rule_text():
+    real = validate.run_scenario
+    with patch.object(validate, "rounds_problems", lambda results: ["injected problem"]), \
+            patch.object(validate, "run_scenario", lambda s: real(replace(s, runs=2))):
+        res = validate.check_round_counts()
+    assert not res.passed
+    assert res.detail.endswith("s < 30s; injected problem")
