@@ -38,12 +38,12 @@ def uploading_probability(snr_threshold: float, snr_avg: float, availability: fl
     exp(-snr_threshold / snr_avg) * availability, the standard outage
     complement for an exponentially distributed channel gain.
     """
-    if snr_threshold < 0:
-        raise ValueError("snr_threshold must be >= 0")
-    if snr_avg <= 0:
-        raise ValueError("snr_avg must be > 0")
+    if not snr_threshold >= 0:
+        raise ValueError(f"snr_threshold must be >= 0, got {snr_threshold}")
+    if not snr_avg > 0:
+        raise ValueError(f"snr_avg must be > 0, got {snr_avg}")
     if not 0.0 <= availability <= 1.0:
-        raise ValueError("availability must lie in [0, 1]")
+        raise ValueError(f"availability must lie in [0, 1], got {availability}")
     return math.exp(-snr_threshold / snr_avg) * availability
 
 

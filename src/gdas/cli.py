@@ -143,12 +143,11 @@ def cmd_bandit(args) -> int:
         scenario = load_scenario(args.config)
     scenario = _apply_overrides(scenario, args)
     result = run_bandit_scenario(scenario)
-    rows = result.summary_rows()
-    last = rows[-1]
-    freqs = " ".join(f"m{m}={last[f'freq_{m}']:.2f}" for m in range(1, scenario.M + 1))
+    summary = result.summary_rows()
+    freqs = " ".join(f"m{m}={summary[f'freq_{m}'][-1]:.2f}" for m in range(1, scenario.M + 1))
     print(
-        f"bandit tau={scenario.tau:g}: round {last['t']} selection frequencies {freqs}; "
-        f"mean per-round sqerr {last['mean_sqerr_delivered']:.4g}"
+        f"bandit tau={scenario.tau:g}: round {int(summary['t'][-1])} selection frequencies "
+        f"{freqs}; mean per-round sqerr {summary['mean_sqerr_delivered'][-1]:.4g}"
     )
     _write(args.out, "rounds_bandit.csv", write_rounds_csv, result)
     _write(args.out, "summary_bandit.csv", write_summary_csv, result)
@@ -206,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, NumericalDegeneracyError) as exc:
+    except (ValueError, NumericalDegeneracyError, OSError) as exc:
         raise SystemExit(f"gdas {args.command}: {exc}") from None
 
 

@@ -93,7 +93,8 @@ class Scenario:
         if self.p is None:
             if any(v is None for v in physical):
                 raise ValueError("give either p or all of snr_threshold/snr_avg/availability")
-            uploading_probability(*physical)  # range checks
+            if not 0.0 < uploading_probability(*physical) <= 1.0:
+                raise ValueError("snr_threshold/snr_avg/availability must give p in (0, 1]")
         else:
             if any(v is not None for v in physical):
                 raise ValueError("give either p or the physical triple, not both")
@@ -107,8 +108,8 @@ class Scenario:
             raise ValueError("T must be >= 1")
         if self.runs is not None and self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be > 0")
+        if not (np.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 2 <= self.M <= FAMILY_SIZE:
             raise ValueError(f"M must lie in 2..{FAMILY_SIZE}")
         if not 1 <= self.true_model <= self.M:
@@ -117,8 +118,8 @@ class Scenario:
             raise ValueError("fixed_model must lie in 1..M")
         if self.family_J < 1:
             raise ValueError("family_J must be >= 1")
-        if self.family_noise <= 0.0:
-            raise ValueError("family_noise must be > 0")
+        if not (np.isfinite(self.family_noise) and self.family_noise > 0.0):
+            raise ValueError(f"family_noise must be finite and > 0, got {self.family_noise}")
         if self.first_round not in _FIRST_ROUND:
             raise ValueError(f"first_round must be one of {_FIRST_ROUND}")
         if self.mode == "bandit" and self.K < self.family_J + FAMILY_SIZE - 1:
@@ -168,7 +169,8 @@ BANDIT_COLUMNS = ("m", "Y", "sqerr_delivered", "mse_delivered_true")
 
 @dataclass(frozen=True)
 class Rounds:
-    """One float64 row per (run, round), in (run, t) order."""
+    """Named float64 columns: the round table, one row per (run, round) in
+    (run, t) order, or its per-round summary."""
 
     columns: tuple[str, ...]
     data: np.ndarray
@@ -238,8 +240,8 @@ class RunResult:
     def final_sqerr_by_run(self) -> np.ndarray:
         return self.records["sqerr_actual"][self.records.last_rows()]
 
-    def summary_rows(self) -> list[dict]:
-        return _per_round_summary(self.records, arms=None)
+    def summary_rows(self) -> Rounds:
+        return _per_round_summary(self.records)
 
     def bounds(self) -> dict[str, float | bool]:
         """Closed forms at the first round's request count under ``q_policy``."""
@@ -501,16 +503,8 @@ class BanditResult:
     records: Rounds
     stop_rounds: list[int | None]
 
-    def summary_rows(self) -> list[dict]:
-        return _per_round_summary(self.records, arms=self.scenario.M)
-
-    def selection_frequency(self) -> dict[int, np.ndarray]:
-        """Per-round empirical probability that each model was played."""
-        rows = self.summary_rows()
-        return {
-            m: np.array([row[f"freq_{m}"] for row in rows])
-            for m in range(1, self.scenario.M + 1)
-        }
+    def summary_rows(self) -> Rounds:
+        return _per_round_summary(self.records)
 
 
 def run_bandit_scenario(scenario: Scenario) -> BanditResult:
@@ -535,31 +529,30 @@ def _nanmean(values: np.ndarray) -> float:
     return float(np.nanmean(values)) if np.any(~np.isnan(values)) else float("nan")
 
 
-def _per_round_summary(table: Rounds, arms: int | None) -> list[dict]:
-    """Arithmetic per-round means over the runs still active at each round.
+def _per_round_summary(table: Rounds) -> Rounds:
+    """Arithmetic per-round means over the runs still active at each round,
+    plus each model's selection frequency in bandit tables (an ``m`` column).
 
     A stable sort on ``t`` keeps each round's values in run order, so every
     mean adds the same values in the same order as a loop over the rows.
     """
     order = np.argsort(table["t"], kind="stable")
     ts, starts = np.unique(table["t"][order], return_index=True)
-    # Averaged: every column after run, t and K_t.
-    names = ROUNDS_COLUMNS[3:] + (BANDIT_COLUMNS if arms is not None else ())
-    by_t = {name: np.split(table[name][order], starts[1:]) for name in names}
-    rows = []
-    for i, t in enumerate(ts):
-        col = {name: groups[i] for name, groups in by_t.items()}
-        row: dict = {"t": int(t), "n_active": len(col["delivered"])}
-        for name in ROUNDS_COLUMNS[3:]:
-            row[f"mean_{name}"] = float(np.mean(col[name]))
-        if arms is not None:
-            for m in range(1, arms + 1):
-                row[f"freq_{m}"] = float(np.mean(col["m"] == m))
-            row["mean_cost"] = _nanmean(col["Y"])
-            for name in BANDIT_COLUMNS[2:]:
-                row[f"mean_{name}"] = _nanmean(col[name])
-        rows.append(row)
-    return rows
+
+    def per_round(mean, values: np.ndarray) -> list[float]:
+        return [mean(group) for group in np.split(values[order], starts[1:])]
+
+    summary = {"t": ts, "n_active": np.diff(starts, append=len(order))}
+    for name in ROUNDS_COLUMNS[3:]:
+        summary[f"mean_{name}"] = per_round(np.mean, table[name])
+    if "m" in table.columns:
+        arms = sum(name.startswith("P_") for name in table.columns)
+        for m in range(1, arms + 1):
+            summary[f"freq_{m}"] = per_round(np.mean, table["m"] == m)
+        summary["mean_cost"] = per_round(_nanmean, table["Y"])
+        for name in BANDIT_COLUMNS[2:]:
+            summary[f"mean_{name}"] = per_round(_nanmean, table[name])
+    return Rounds(tuple(summary), np.column_stack(list(summary.values())))
 
 
 # ----------------------------------------------------------------------
@@ -570,8 +563,6 @@ def _per_round_summary(table: Rounds, arms: int | None) -> list[dict]:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return "%.9g" % float(value)
 
 
@@ -601,30 +592,28 @@ def _scenario_tag(s: Scenario) -> str:
     return " ".join(fields)
 
 
-def write_rounds_csv(path, result: RunResult | BanditResult) -> None:
-    """The round table under its column names; counts print as integers (all < 1e9)."""
-    table = result.records
+def _write_table(path, comment: str, table: Rounds) -> None:
+    """``table`` under a comment line and its column names; counts print as integers."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {ROUNDS_SCHEMA} {_scenario_tag(result.scenario)}\n")
+        fh.write(f"# {comment}\n")
         fh.write(",".join(table.columns) + "\n")
         np.savetxt(fh, table.data, fmt="%.9g", delimiter=",")
 
 
+def write_rounds_csv(path, result: RunResult | BanditResult) -> None:
+    """The round table under its column names."""
+    _write_table(path, f"{ROUNDS_SCHEMA} {_scenario_tag(result.scenario)}", result.records)
+
+
 def write_summary_csv(path, result: RunResult | BanditResult) -> None:
-    s = result.scenario
-    rows = result.summary_rows()
-    header_extra = ""
+    """The per-round summary; polling/ALOHA headers add bounds and stop rounds."""
+    comment = f"{SUMMARY_SCHEMA} {_scenario_tag(result.scenario)}"
     if isinstance(result, RunResult):
         parts = [f"{k}={_fmt(v)}" for k, v in result.bounds().items()]
         parts.append(f"mean_stop_round={_fmt(result.mean_stop_round)}")
         parts.append(f"censored_runs={result.censored_runs}")
-        header_extra = " " + " ".join(parts)
-    columns = list(rows[0].keys()) if rows else ["t"]
-    lines = [f"# {SUMMARY_SCHEMA} {_scenario_tag(s)}{header_extra}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        comment += " " + " ".join(parts)
+    _write_table(path, comment, result.summary_rows())
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:

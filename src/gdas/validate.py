@@ -18,7 +18,7 @@ import numpy as np
 from .access import aloha_round, expected_successes
 from .bandit import round_cost_from_state, softmax_probs, new_bandit_state, update
 from .engine import ingest, initial_state, polling_order, select_nodes
-from .experiments import BanditResult, RunResult, Scenario, SweepPoint, SweepResult
+from .experiments import BanditResult, RunResult, SweepPoint, SweepResult
 from .experiments import run_bandit_scenario, run_scenario, sweep
 from .models import GaussianModel, build_ar1_model, condition, rank_one_condition
 from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS
@@ -114,16 +114,15 @@ def check_throughput(seed: int = DEFAULT_SEED) -> CheckResult:
         total += len(aloha_round(requested, 4, 0.2, rng).delivered)
     elapsed = time.perf_counter() - started
     mean = total / rounds
-    target = 1.5097
+    target = expected_successes("aloha", 4, 0.2, 20)
     rel = abs(mean - target) / target
-    exact = expected_successes("aloha", 4, 0.2, 20)
     close = rel <= 0.03
     in_time = elapsed < 5.0
     ok = close and in_time
     detail = (
-        f"empirical {mean:.4f} vs {target} ("
+        f"empirical {mean:.4f} vs formula {target:.4f} ("
         + _compare(f"rel {rel:.4f}", close, "<=", "0.03")
-        + f", formula {exact:.4f}); "
+        + "); "
         + _compare(f"{elapsed:.1f}s", in_time, "<", "5s")
     )
     return _result("2 throughput-formula", started, ok, detail)
@@ -288,14 +287,8 @@ def check_mse_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
     average to resolve it (mean MSE >= 0.5).
     """
     started = time.perf_counter()
-    polling = run_scenario(
-        Scenario(mode="polling", p=1.0, N=1, K=100, rho=0.95, kbar=100, T=75,
-                 runs=100, first_round="greedy", seed=seed)
-    )
-    aloha = run_scenario(
-        Scenario(mode="aloha", p=0.2, N=4, K=100, rho=0.95, kbar=100, T=75,
-                 runs=100, seed=seed + 1)
-    )
+    polling = run_scenario(replace(RUN_PRESETS["mse-curve"][0][1], T=75, seed=seed))
+    aloha = run_scenario(replace(SWEEP_PRESETS["p-sweep"][0], kbar=100, seed=seed + 1))
     for label, res in (("polling", polling), ("aloha", aloha)):
         run = res.records["run"]
         rose = (np.diff(res.records["mse_theory"]) > 1e-9) & (run[1:] == run[:-1])
@@ -307,13 +300,11 @@ def check_mse_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
 
     worst = {}
     for label, res, floor in (("polling", polling, 0.0), ("aloha", aloha, 0.5)):
-        rows = res.summary_rows()
-        rel = [
-            abs(row["mean_sqerr_actual"] - row["mean_mse_theory"]) / row["mean_mse_theory"]
-            for row in rows
-            if row["mean_mse_theory"] > floor
-        ]
-        worst[label] = max(rel)
+        summary = res.summary_rows()
+        resolved = summary["mean_mse_theory"] > floor
+        theory = summary["mean_mse_theory"][resolved]
+        rel = np.abs(summary["mean_sqerr_actual"][resolved] - theory) / theory
+        worst[label] = float(rel.max())
     within = {label: value <= 0.15 for label, value in worst.items()}
     ok = all(within.values())
     runs = polling.scenario.run_count + aloha.scenario.run_count
@@ -362,18 +353,19 @@ UNIFORM_TOL = 0.07
 
 def true_model_leads(result: BanditResult) -> dict[int, float]:
     """Per round from 2·M on: the true model's frequency minus the best other model's."""
-    freq = result.selection_frequency()
-    true = result.scenario.true_model
-    return {
-        t: freq[true][t] - max(f[t] for m, f in freq.items() if m != true)
-        for t in range(2 * result.scenario.M, len(freq[true]))
-    }
+    summary = result.summary_rows()
+    s = result.scenario
+    others = [summary[f"freq_{m}"] for m in range(1, s.M + 1) if m != s.true_model]
+    lead = summary[f"freq_{s.true_model}"] - np.max(others, axis=0)
+    return {int(t): float(v) for t, v in zip(summary["t"], lead) if t >= 2 * s.M}
 
 
 def true_model_freqs(result: BanditResult) -> dict[int, float]:
     """Per round from 2·M on: the true model's selection frequency."""
-    freq = result.selection_frequency()[result.scenario.true_model]
-    return {t: float(freq[t]) for t in range(2 * result.scenario.M, len(freq))}
+    summary = result.summary_rows()
+    s = result.scenario
+    freq = summary[f"freq_{s.true_model}"]
+    return {int(t): float(f) for t, f in zip(summary["t"], freq) if t >= 2 * s.M}
 
 
 def lead_problems(result: BanditResult) -> list[str]:
@@ -398,11 +390,13 @@ def band_problems(result: BanditResult) -> list[str]:
 def mismatch_problems(result: BanditResult) -> list[str]:
     """The ``mismatch`` rule: the wrong model's per-round squared error is never
     below the true model's conditional MSE of the same deliveries."""
+    summary = result.summary_rows()
     return [
-        f"round {row['t']}: wrong-model error {row['mean_sqerr_delivered']:.3g} "
-        f"below true-model MSE {row['mean_mse_delivered_true']:.3g}"
-        for row in result.summary_rows()
-        if row["mean_sqerr_delivered"] < row["mean_mse_delivered_true"]
+        f"round {int(t)}: wrong-model error {wrong:.3g} below true-model MSE {true:.3g}"
+        for t, wrong, true in zip(
+            summary["t"], summary["mean_sqerr_delivered"], summary["mean_mse_delivered_true"]
+        )
+        if wrong < true
     ]
 
 

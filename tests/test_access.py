@@ -35,6 +35,13 @@ class TestUploadingProbability:
         with pytest.raises(ValueError):
             uploading_probability(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.nan)]
+    )
+    def test_nan_rejected(self, args):
+        with pytest.raises(ValueError):
+            uploading_probability(*args)
+
     def test_physical_sampling_matches_closed_form(self, rng):
         snr_threshold, snr_avg, availability = 1.5, 2.5, 0.8
         hits = sample_upload_success(snr_threshold, snr_avg, availability, rng, size=200_000)

@@ -105,6 +105,28 @@ def test_degenerate_model_family_exits_with_one_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize("case", ["missing-config", "config-is-a-directory", "out-is-a-file"])
+def test_file_errors_exit_with_one_line(case, tiny_cfg, tmp_path):
+    path, args = {
+        "missing-config": (tmp_path / "missing.cfg", ["--config"]),
+        "config-is-a-directory": (tmp_path, ["--config"]),
+        "out-is-a-file": (tiny_cfg, ["--config", str(tiny_cfg), "--out"]),
+    }[case]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *args, str(path)])
+    assert str(exc.value).startswith("gdas run: [Errno ")
+    assert str(exc.value).endswith(f"'{path}'")
+
+
+def test_bandit_config_with_nan_tau_exits_with_one_line(tmp_path):
+    # T <= M: every round is round-robin, so a nan tau never reached a softmax.
+    cfg = tmp_path / "nan-tau.cfg"
+    cfg.write_text("mode = bandit\nK = 12\nN = 2\np = 0.4\nT = 3\nruns = 2\ntau = nan\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bandit", "--config", str(cfg)])
+    assert str(exc.value) == "gdas bandit: tau must be finite and > 0, got nan"
+
+
 def test_sweep_preset_rejects_param_and_values(capsys):
     for extra in (["--param", "N"], ["--values", "1,2"]):
         with pytest.raises(SystemExit, match="--param and --values are for --config sweeps"):

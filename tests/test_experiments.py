@@ -76,6 +76,26 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(K=10, kbar=11)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(p=None, snr_threshold=1.0, snr_avg=1.0, availability=0.0), "availability"),
+            (dict(p=None, snr_threshold=math.inf, snr_avg=1.0, availability=1.0), "snr_threshold"),
+            (dict(p=None, snr_threshold=math.nan, snr_avg=1.0, availability=1.0), "snr_threshold"),
+            (dict(p=None, snr_threshold=1.0, snr_avg=math.nan, availability=1.0), "snr_avg"),
+            (dict(p=None, snr_threshold=math.inf, snr_avg=math.inf, availability=1.0), "snr_avg"),
+            (dict(tau=math.nan), "tau"),
+            (dict(tau=math.inf), "tau"),
+            (dict(family_noise=math.nan), "family_noise"),
+            (dict(family_noise=math.inf), "family_noise"),
+        ],
+    )
+    def test_rejects_inputs_a_run_cannot_use(self, overrides, field):
+        # Each of these used to pass construction and fail mid-run, or (tau=nan
+        # with T <= M) never fail and write tau=nan into the CSV header.
+        with pytest.raises(ValueError, match=field):
+            Scenario(mode="bandit", **overrides)
+
 
 class TestRunScenario:
     def test_certain_polling_takes_exactly_k_rounds(self):
@@ -165,13 +185,14 @@ class TestRunScenario:
 
     def test_summary_rows_are_plain_means(self):
         res = run_scenario(tiny())
-        rows = res.summary_rows()
+        summary = res.summary_rows()
         t0 = res.records["t"] == 0
-        assert rows[0]["n_active"] == t0.sum()
-        assert rows[0]["mean_mse_theory"] == pytest.approx(
+        assert summary["t"][0] == 0
+        assert summary["n_active"][0] == t0.sum()
+        assert summary["mean_mse_theory"][0] == pytest.approx(
             np.mean(res.records["mse_theory"][t0])
         )
-        assert rows[0]["mean_delivered"] == pytest.approx(
+        assert summary["mean_delivered"][0] == pytest.approx(
             np.mean(res.records["delivered"][t0])
         )
 
@@ -353,19 +374,26 @@ class TestRoundTableProperties:
         bandit = s.mode == "bandit"
         res = (run_bandit_scenario if bandit else run_scenario)(s)
         table = res.records
+        summary = res.summary_rows()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rounds.csv"
             write_rounds_csv(path, res)
             header = path.read_text().splitlines()[1]
             back = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-        # The file holds the table to 9 significant digits.
+            path = Path(tmp) / "summary.csv"
+            write_summary_csv(path, res)
+            summary_header = path.read_text().splitlines()[1]
+            summary_back = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        # Each file holds its table to 9 significant digits.
         assert header == ",".join(table.columns)
         np.testing.assert_allclose(back, table.data, rtol=1e-8, atol=0.0)
+        assert summary_header == ",".join(summary.columns)
+        np.testing.assert_allclose(summary_back, summary.data, rtol=1e-8, atol=0.0)
 
         col = dict(zip(table.columns, back.T))
-        rows = res.summary_rows()
-        assert [row["t"] for row in rows] == sorted(set(col["t"]))
-        for row in rows:
+        assert summary["t"].tolist() == sorted(set(col["t"]))
+        for values in summary.data:
+            row = dict(zip(summary.columns, values))
             at = col["t"] == row["t"]
             assert row["n_active"] == at.sum()
             for name in ("mse_theory", "sqerr_actual", "delivered", "collided"):
@@ -434,8 +462,8 @@ class TestBanditScenario:
     def test_selection_frequencies_sum_to_one(self):
         s = Scenario(mode="bandit", K=12, N=2, p=0.4, T=15, runs=8, seed=3)
         res = run_bandit_scenario(s)
-        freq = res.selection_frequency()
-        totals = sum(freq[m] for m in range(1, 6))
+        summary = res.summary_rows()
+        totals = sum(summary[f"freq_{m}"] for m in range(1, 6))
         np.testing.assert_allclose(totals, 1.0, atol=1e-12)
 
     def test_q_policy_sets_the_request_count(self):

@@ -6,7 +6,16 @@ from unittest.mock import patch
 import numpy as np
 
 import gdas.validate as validate
-from gdas.experiments import RunResult, Scenario, SweepPoint, SweepResult
+from gdas.experiments import (
+    BANDIT_COLUMNS,
+    ROUNDS_COLUMNS,
+    BanditResult,
+    Rounds,
+    RunResult,
+    Scenario,
+    SweepPoint,
+    SweepResult,
+)
 from gdas.validate import ROUNDS_ALOHA_WINDOW, _compare, _window
 
 
@@ -128,3 +137,29 @@ def test_round_counts_fail_with_the_rounds_rule_text():
         res = validate.check_round_counts()
     assert not res.passed
     assert res.detail.endswith("s < 30s; injected problem")
+
+
+def test_throughput_target_is_the_formula():
+    with patch.object(validate, "expected_successes", lambda *args: 1.6):
+        res = validate.check_throughput()
+    assert not res.passed
+    assert "vs formula 1.6000" in res.detail and "> 0.03" in res.detail
+
+
+def test_bandit_rules_read_the_summary_columns():
+    # Two runs of six rounds over two models; the true model is 1, so the
+    # frequency rules start at round 2·M = 4.
+    played = {0: [1, 2, 1, 1, 1, 2], 1: [2, 1, 1, 2, 1, 1]}
+    rows = []
+    for run, arms in played.items():
+        for t, m in enumerate(arms):
+            wrong = 0.5 if t == 3 else 2.0
+            rows.append((run, t, 2 * t, 1.0, 1.0, 1, 0, m, np.nan, wrong, 1.0, 0.5, 0.5))
+    table = Rounds(ROUNDS_COLUMNS + BANDIT_COLUMNS + ("P_1", "P_2"), np.array(rows, dtype=float))
+    res = BanditResult(Scenario(mode="bandit", M=2, true_model=1), table, [None, None])
+    assert validate.true_model_leads(res) == {4: 1.0, 5: 0.0}
+    assert validate.true_model_freqs(res) == {4: 1.0, 5: 0.5}
+    assert validate.lead_problems(res) == ["round 5: true model not leading (lead 0.000)"]
+    assert validate.mismatch_problems(res) == [
+        "round 3: wrong-model error 0.5 below true-model MSE 1"
+    ]
