@@ -153,8 +153,8 @@ def optimal_q(n_channels: int, p: float, remaining: int) -> int:
         raise ValueError("n_channels must be >= 1")
     if remaining < 1:
         raise ValueError("remaining must be >= 1")
-    q = int(math.floor(n_channels / p + 0.5))
-    return max(1, min(q, remaining))
+    # Capped before the int conversion: N/p overflows to inf for subnormal p.
+    return max(1, int(math.floor(min(n_channels / p + 0.5, remaining))))
 
 
 def mean_rounds_bound(
@@ -178,7 +178,8 @@ def mean_rounds_bound(
     if scheme == "aloha":
         if q is None:
             raise ValueError("the exact aloha bound needs q")
-        return kbar / expected_successes("aloha", n_channels, p, q)
+        rate = expected_successes("aloha", n_channels, p, q)
+        return kbar / rate if rate > 0 else math.inf
     if scheme == "aloha-approx":
         return kbar / (n_channels * math.exp(-1.0))
     raise ValueError(f"scheme must be 'polling', 'aloha' or 'aloha-approx', got {scheme!r}")

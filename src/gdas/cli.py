@@ -80,11 +80,15 @@ def _check(rule, result, passed: str) -> int:
     return 0
 
 
+def _make_out(out: Path | None) -> None:
+    """Create the ``--out`` directory before the batch runs, so a bad path fails first."""
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+
+
 def _write(out: Path | None, name: str, writer, payload) -> None:
-    if out is None:
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    writer(out / name, payload)
+    if out is not None:
+        writer(out / name, payload)
 
 
 def cmd_run(args) -> int:
@@ -92,6 +96,7 @@ def cmd_run(args) -> int:
         ("scenario", load_scenario(args.config))
     ]
     rule = _rule(args, RUN_PRESETS, "run")
+    _make_out(args.out)
     results: dict[str, RunResult] = {}
     for label, scenario in scenarios:
         scenario = _apply_overrides(scenario, args)
@@ -125,6 +130,7 @@ def cmd_sweep(args) -> int:
             raise SystemExit("--config sweeps need --param and --values")
         values = [float(v) for v in args.values.split(",")]
     scenario = _apply_overrides(scenario, args)
+    _make_out(args.out)
     result = sweep(scenario, param, values)
     for pt in result.points:
         winner = "aloha" if pt.aloha_better else "polling"
@@ -142,6 +148,7 @@ def cmd_bandit(args) -> int:
     if scenario is None:
         scenario = load_scenario(args.config)
     scenario = _apply_overrides(scenario, args)
+    _make_out(args.out)
     result = run_bandit_scenario(scenario)
     summary = result.summary_rows()
     freqs = " ".join(f"m{m}={summary[f'freq_{m}'][-1]:.2f}" for m in range(1, scenario.M + 1))

@@ -21,13 +21,17 @@ _TYPES = get_type_hints(Scenario)
 _CANONICAL = {f.name.lower(): f.name for f in fields(Scenario)}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, lineno: int):
     kinds = get_args(_TYPES[key]) or (_TYPES[key],)
     if raw.lower() in ("none", "null"):
         if type(None) not in kinds:
-            raise ValueError(f"{key} cannot be none")
+            raise ValueError(f"line {lineno}: {key} cannot be none")
         return None
-    return kinds[0](raw)
+    try:
+        return kinds[0](raw)
+    except ValueError:
+        kind = {int: "an int", float: "a float"}[kinds[0]]
+        raise ValueError(f"line {lineno}: {key} must be {kind}, got {raw!r}") from None
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -44,7 +48,7 @@ def parse_scenario_text(text: str) -> Scenario:
             raise ValueError(f"line {lineno}: unknown scenario key {key_raw!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key_raw!r}")
-        values[key] = _coerce(key, val_raw)
+        values[key] = _coerce(key, val_raw, lineno)
     # p defaults to 0.2 in Scenario; configs that switch to the physical
     # triple clear it.
     if "p" not in values and any(k in values for k in ("snr_threshold", "snr_avg", "availability")):

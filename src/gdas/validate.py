@@ -9,8 +9,11 @@ under the same rules.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,16 +37,41 @@ class CheckResult:
     elapsed: float
 
 
-def _result(name: str, started: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail, elapsed=time.perf_counter() - started)
+# (key, check) for every check, in definition order; ``_check`` fills it.
+ALL_CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = []
 
 
-_NEGATED = {"<": ">=", "<=": ">"}
+def _check(name: str):
+    """Register ``body(seed) -> (passed, detail)`` as the check ``name``.
+
+    The registered function keeps the body's name and docstring, is called
+    as ``check(seed=DEFAULT_SEED)``, times the body and returns its
+    ``CheckResult``; its key in ``ALL_CHECKS`` is the number leading ``name``.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def check(seed: int = DEFAULT_SEED) -> CheckResult:
+            started = time.perf_counter()
+            passed, detail = body(seed)
+            return CheckResult(name, bool(passed), detail, time.perf_counter() - started)
+
+        ALL_CHECKS.append((name.split()[0], check))
+        return check
+
+    return register
 
 
-def _compare(text: str, holds: bool, op: str, limit: str) -> str:
-    """``text op limit`` if the comparison holds, else with the negated operator."""
-    return f"{text} {op if holds else _NEGATED[op]} {limit}"
+_OPS = {"<": (operator.lt, ">="), "<=": (operator.le, ">")}
+
+
+def _bound(text: str, value: float, op: str, limit: float, unit: str = "") -> tuple[bool, str]:
+    """Whether ``value op limit`` holds, and ``text`` followed by the comparison
+    that does: ``op`` if it holds, else its negation, then ``limit`` and ``unit``."""
+    test, negated = _OPS[op]
+    holds = bool(test(value, limit))
+    shown = f"{limit:g}".replace("e-0", "e-")
+    return holds, f"{text} {op if holds else negated} {shown}{unit}"
 
 
 def _window(text: str, value: float, window: tuple[float, float]) -> str:
@@ -80,10 +108,11 @@ def rounds_problems(results: dict[str, RunResult]) -> list[str]:
     return problems
 
 
-def check_round_counts(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("1 round-counts")
+def check_round_counts(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """The ``rounds`` preset (polling at ``seed``, ALOHA at ``seed + 1``) under
-    its rule: polling within 5% of the 93.75 closed form, ALOHA within
-    [49.7, 56.0] (its 49.7 closed form is a lower bound).  Budget: 30 s.
+    its rule: each mode's mean stop round in its ``ROUNDS_WINDOWS`` window,
+    within ``ROUNDS_BUDGET_S`` seconds.
     """
     started = time.perf_counter()
     results = {
@@ -92,40 +121,31 @@ def check_round_counts(seed: int = DEFAULT_SEED) -> CheckResult:
     }
     elapsed = time.perf_counter() - started
     problems = rounds_problems(results)
-    in_time = elapsed < ROUNDS_BUDGET_S
+    in_time, budget = _bound(f"{elapsed:.1f}s", elapsed, "<", ROUNDS_BUDGET_S, "s")
     parts = [
         _window(f"{label} mean stop", res.mean_stop_round, ROUNDS_WINDOWS[label])
         for label, res in results.items()
     ]
-    parts.append(f"censored runs {sum(res.censored_runs for res in results.values())}")
-    parts.append(_compare(f"{elapsed:.1f}s", in_time, "<", f"{ROUNDS_BUDGET_S:g}s"))
-    detail = _stating("; ".join(parts), problems)
-    return _result("1 round-counts", started, not problems and in_time, detail)
+    parts += [f"censored runs {sum(res.censored_runs for res in results.values())}", budget]
+    return not problems and in_time, _stating("; ".join(parts), problems)
 
 
-def check_throughput(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("2 throughput-formula")
+def check_throughput(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """ALOHA per-round deliveries vs the closed form: Q=20, N=4, p=0.2, 1e5 rounds."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     requested = list(range(1, 21))
-    total = 0
     rounds = 100_000
-    for _ in range(rounds):
-        total += len(aloha_round(requested, 4, 0.2, rng).delivered)
+    total = sum(len(aloha_round(requested, 4, 0.2, rng).delivered) for _ in range(rounds))
     elapsed = time.perf_counter() - started
     mean = total / rounds
     target = expected_successes("aloha", 4, 0.2, 20)
     rel = abs(mean - target) / target
-    close = rel <= 0.03
-    in_time = elapsed < 5.0
-    ok = close and in_time
-    detail = (
-        f"empirical {mean:.4f} vs formula {target:.4f} ("
-        + _compare(f"rel {rel:.4f}", close, "<=", "0.03")
-        + "); "
-        + _compare(f"{elapsed:.1f}s", in_time, "<", "5s")
-    )
-    return _result("2 throughput-formula", started, ok, detail)
+    close, rel_text = _bound(f"rel {rel:.4f}", rel, "<=", 0.03)
+    in_time, time_text = _bound(f"{elapsed:.1f}s", elapsed, "<", 5.0, "s")
+    detail = f"empirical {mean:.4f} vs formula {target:.4f} ({rel_text}); {time_text}"
+    return close and in_time, detail
 
 
 def crossover_holds(pt: SweepPoint) -> bool:
@@ -150,21 +170,18 @@ def sweep_problems(result: SweepResult) -> list[str]:
     return bad
 
 
-def check_crossover(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("3 crossover")
+def check_crossover(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Fixed-horizon p-sweep: ALOHA wins below 1/e, polling wins above."""
-    started = time.perf_counter()
     base, param, values = SWEEP_PRESETS["p-sweep"]
     table = sweep(replace(base, seed=seed), param, values)
-    parts = []
-    ok = True
-    for pt in table.points:
-        good = crossover_holds(pt)
-        ok = ok and good
-        parts.append(
-            f"p={pt.value:g}: aloha {pt.aloha_mse:.3g} vs polling {pt.polling_mse:.3g}"
-            f" [{'ok' if good else 'WRONG ORDER'}]"
-        )
-    return _result("3 crossover", started, ok, "; ".join(parts))
+    holds = [crossover_holds(pt) for pt in table.points]
+    parts = [
+        f"p={pt.value:g}: aloha {pt.aloha_mse:.3g} vs polling {pt.polling_mse:.3g}"
+        f" [{'ok' if good else 'WRONG ORDER'}]"
+        for pt, good in zip(table.points, holds)
+    ]
+    return all(holds), "; ".join(parts)
 
 
 def _random_psd_model(rng: np.random.Generator, k: int) -> GaussianModel:
@@ -174,9 +191,9 @@ def _random_psd_model(rng: np.random.Generator, k: int) -> GaussianModel:
     return GaussianModel(mean=mean, cov=cov)
 
 
-def check_conditioning_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("4 conditioning-equivalence")
+def check_conditioning_equivalence(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Incremental rank-one conditioning vs the batch solve: 200 random models, K<=50."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(200):
@@ -195,10 +212,9 @@ def check_conditioning_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
             float(np.abs(state.cond_cov - batch.cond_cov).max(initial=0.0)),
         )
         if not np.array_equal(state.unknown_idx, batch.unknown_idx):
-            return _result("4 conditioning-equivalence", started, False, "unknown sets differ")
-    ok = worst <= 1e-8
-    detail = _compare(f"max entrywise |incremental - batch| = {worst:.2e}", ok, "<=", "1e-8")
-    return _result("4 conditioning-equivalence", started, ok, detail + " over 200 models")
+            return False, "unknown sets differ"
+    ok, detail = _bound(f"max entrywise |incremental - batch| = {worst:.2e}", worst, "<=", 1e-8)
+    return ok, detail + " over 200 models"
 
 
 def _brute_force_best(model: GaussianModel, known: list[int], vals: list[float]) -> int:
@@ -214,7 +230,8 @@ def _brute_force_best(model: GaussianModel, known: list[int], vals: list[float])
     return candidates[int(np.flatnonzero(traces <= traces.min() + tol)[0])]
 
 
-def check_greedy_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("5 greedy-oracle")
+def check_greedy_oracle(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Greedy single pick equals the exhaustive argmin in 1000/1000 trials;
     over the pair trials, greedy's residual trace stays within 5% of the
     exhaustive-pair optimum in aggregate.
@@ -224,7 +241,6 @@ def check_greedy_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
     exclude the best pair (K=5 AR(1) at rho 0.95 has a 43% per-instance gap),
     so no per-trial 5% bound can hold.
     """
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     single_hits = 0
     single_trials = 1000
@@ -267,17 +283,18 @@ def check_greedy_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
             worst_ratio = max(worst_ratio, achieved / best)
 
     pair_ratio = achieved_sum / optimum_sum
-    pair_ok = pair_ratio <= 1.05
-    ok = single_hits == single_trials and pair_ok
-    detail = (
-        f"single-pick agreement {single_hits}/{single_trials}; "
-        + _compare(f"aggregate pair trace ratio {pair_ratio:.4f}", pair_ok, "<=", "1.05")
-        + f" over {pair_trials} trials (worst single instance {worst_ratio:.2f})"
+    pair_ok, pair_text = _bound(
+        f"aggregate pair trace ratio {pair_ratio:.4f}", pair_ratio, "<=", 1.05
     )
-    return _result("5 greedy-oracle", started, ok, detail)
+    detail = (
+        f"single-pick agreement {single_hits}/{single_trials}; {pair_text}"
+        f" over {pair_trials} trials (worst single instance {worst_ratio:.2f})"
+    )
+    return single_hits == single_trials and pair_ok, detail
 
 
-def check_mse_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("6 mse-calibration")
+def check_mse_calibration(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Monotone conditional MSE plus 100-run empirical tracking within 15%.
 
     The per-round 15% band is asserted on the failure-free single-channel
@@ -286,42 +303,31 @@ def check_mse_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
     band on rounds where the residual MSE is large enough for a 100-run
     average to resolve it (mean MSE >= 0.5).
     """
-    started = time.perf_counter()
     polling = run_scenario(replace(RUN_PRESETS["mse-curve"][0][1], T=75, seed=seed))
     aloha = run_scenario(replace(SWEEP_PRESETS["p-sweep"][0], kbar=100, seed=seed + 1))
-    for label, res in (("polling", polling), ("aloha", aloha)):
+    bounds = []
+    for label, res, floor in (("polling", polling, 0.0), ("aloha", aloha, 0.5)):
         run = res.records["run"]
         rose = (np.diff(res.records["mse_theory"]) > 1e-9) & (run[1:] == run[:-1])
         if rose.any():
-            return _result(
-                "6 mse-calibration", started, False,
-                f"{label} run {int(run[1:][rose][0])}: mse_theory increased",
-            )
-
-    worst = {}
-    for label, res, floor in (("polling", polling, 0.0), ("aloha", aloha, 0.5)):
+            return False, f"{label} run {int(run[1:][rose][0])}: mse_theory increased"
         summary = res.summary_rows()
         resolved = summary["mean_mse_theory"] > floor
         theory = summary["mean_mse_theory"][resolved]
-        rel = np.abs(summary["mean_sqerr_actual"][resolved] - theory) / theory
-        worst[label] = float(rel.max())
-    within = {label: value <= 0.15 for label, value in worst.items()}
-    ok = all(within.values())
+        worst = float((np.abs(summary["mean_sqerr_actual"][resolved] - theory) / theory).max())
+        bounds.append(_bound(f"{label} {worst:.3f}", worst, "<=", 0.15))
     runs = polling.scenario.run_count + aloha.scenario.run_count
     detail = f"mse_theory nonincreasing in all {runs} runs; worst |empirical-theory|/theory: "
-    detail += ", ".join(
-        _compare(f"{label} {worst[label]:.3f}", within[label], "<=", "0.15") for label in worst
-    )
-    return _result("6 mse-calibration", started, ok, detail)
+    return all(ok for ok, _ in bounds), detail + ", ".join(text for _, text in bounds)
 
 
-def check_polling_order(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("7 polling-order")
+def check_polling_order(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """The failure-free request order is one permutation, whatever x turns out to be."""
-    started = time.perf_counter()
     model = build_ar1_model(100, 0.95)
     base = polling_order(model)
     if sorted(base) != list(range(1, 101)):
-        return _result("7 polling-order", started, False, "order is not a permutation")
+        return False, "order is not a permutation"
     rng = np.random.default_rng(seed)
     chol = np.linalg.cholesky(model.cov)
     for _ in range(100):
@@ -333,13 +339,9 @@ def check_polling_order(seed: int = DEFAULT_SEED) -> CheckResult:
             seq.append(node)
             st = ingest(st, {node: float(x[node - 1])})
         if seq != base:
-            return _result(
-                "7 polling-order", started, False, "request order varied with the realization"
-            )
+            return False, "request order varied with the realization"
     scaled = GaussianModel(mean=5.0 * model.mean, cov=model.cov)
-    ok = polling_order(scaled) == base
-    detail = "identical order across 100 realizations and under mean scaling"
-    return _result("7 polling-order", started, ok, detail)
+    return polling_order(scaled) == base, "identical order across 100 realizations and under mean scaling"
 
 
 # Check 8's selection-frequency windows, which ``gdas bandit --check``
@@ -416,21 +418,18 @@ def preset_rule(preset: str | None):
     }.get(preset)
 
 
-def check_bandit_behavior(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("8 bandit-behavior")
+def check_bandit_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Softmax model selection: tau=1 locks onto the true model (the first 40
     rounds of ``bandit-tau1``), tau=20 stays near uniform (``bandit-tau20``),
     and the true-model cost averages 1."""
-    started = time.perf_counter()
     res1 = run_bandit_scenario(replace(BANDIT_PRESETS["bandit-tau1"], T=40, seed=seed))
     leads = true_model_leads(res1)
-    min_gap = min(leads.values())
     lead_bad = lead_problems(res1)
-    lead_ok = not lead_bad
 
     res20 = run_bandit_scenario(replace(BANDIT_PRESETS["bandit-tau20"], seed=seed + 1))
     band = list(true_model_freqs(res20).values())
     band_bad = band_problems(res20)
-    band_ok = not band_bad
 
     # Mean normalized true-model cost over 1e4 simulated delivery rounds.
     rng = np.random.default_rng(seed + 2)
@@ -450,23 +449,23 @@ def check_bandit_behavior(seed: int = DEFAULT_SEED) -> CheckResult:
             total += round_cost_from_state(cond, delivered, [float(x[n - 1]) for n in delivered])
             n_samples += 1
     mean_cost = total / n_samples
-    cost_ok = abs(mean_cost - 1.0) <= 0.05
+    centre, tol = 1, 0.05
+    cost_ok = abs(mean_cost - centre) <= tol
 
-    ok = lead_ok and band_ok and cost_ok
     detail = (
-        f"tau=1: true model {'strictly leads' if lead_ok else 'does not lead'} rounds "
-        f"{min(leads)}..{max(leads)} (min gap {min_gap:.3f}); tau=20: selection frequency "
-        f"{'in' if band_ok else 'outside'} {UNIFORM_FREQ}+-{UNIFORM_TOL} "
+        f"tau=1: true model {'does not lead' if lead_bad else 'strictly leads'} rounds "
+        f"{min(leads)}..{max(leads)} (min gap {min(leads.values()):.3f}); tau=20: selection "
+        f"frequency {'outside' if band_bad else 'in'} {UNIFORM_FREQ}+-{UNIFORM_TOL} "
         f"(range {min(band):.3f}..{max(band):.3f}); "
-        f"true-model mean cost {mean_cost:.4f} {'in' if cost_ok else 'outside'} 1+-0.05 "
-        f"over {n_samples} samples"
+        f"true-model mean cost {mean_cost:.4f} {'in' if cost_ok else 'outside'} "
+        f"{centre}+-{tol} over {n_samples} samples"
     )
-    return _result("8 bandit-behavior", started, ok, _stating(detail, lead_bad + band_bad))
+    return not lead_bad and not band_bad and cost_ok, _stating(detail, lead_bad + band_bad)
 
 
-def check_softmax_units(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("9 softmax-units")
+def check_softmax_units(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Shift invariance, the high-temperature limit, and the two-arm closed form."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
 
     def state_with(psi: np.ndarray, tau: float):
@@ -487,38 +486,14 @@ def check_softmax_units(seed: int = DEFAULT_SEED) -> CheckResult:
     closed = 1.0 / (1.0 + math.exp(-1.0))
     closed_err = abs(float(two[0]) - closed)
 
-    parts = [
-        ("shift invariance err", shift_err, "1e-12"),
-        ("tau=1e9 uniformity err", uniform_err, "1e-6"),
-        ("two-arm closed form err", closed_err, "1e-9"),
+    bounds = [
+        _bound(f"shift invariance err {shift_err:.1e}", shift_err, "<=", 1e-12),
+        _bound(f"tau=1e9 uniformity err {uniform_err:.1e}", uniform_err, "<=", 1e-6),
+        _bound(f"two-arm closed form err {closed_err:.1e}", closed_err, "<=", 1e-9),
     ]
-    within = [err <= float(limit) for _, err, limit in parts]
-    ok = all(within)
-    detail = "; ".join(
-        _compare(f"{text} {err:.1e}", good, "<=", limit)
-        for (text, err, limit), good in zip(parts, within)
-    )
-    detail += f" (P_1 = {closed:.5f})"
-    return _result("9 softmax-units", started, ok, detail)
-
-
-ALL_CHECKS = (
-    ("1", check_round_counts),
-    ("2", check_throughput),
-    ("3", check_crossover),
-    ("4", check_conditioning_equivalence),
-    ("5", check_greedy_oracle),
-    ("6", check_mse_calibration),
-    ("7", check_polling_order),
-    ("8", check_bandit_behavior),
-    ("9", check_softmax_units),
-)
+    detail = "; ".join(text for _, text in bounds) + f" (P_1 = {closed:.5f})"
+    return all(ok for ok, _ in bounds), detail
 
 
 def run_all(seed: int = DEFAULT_SEED, only: set[str] | None = None) -> list[CheckResult]:
-    results = []
-    for key, fn in ALL_CHECKS:
-        if only is not None and key not in only:
-            continue
-        results.append(fn(seed))
-    return results
+    return [check(seed) for key, check in ALL_CHECKS if only is None or key in only]

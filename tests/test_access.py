@@ -1,9 +1,12 @@
 """Channel layer: uploading draws, polling/ALOHA rounds, closed forms."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdas.access import (
     aloha_round,
@@ -119,6 +122,70 @@ class TestAlohaRound:
         assert abs(counts.mean() - want) <= 3 * max(se, 1e-12)
 
 
+class TestRoundProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        requested=st.lists(st.integers(1, 500), min_size=1, max_size=12, unique=True),
+        n=st.integers(1, 5),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outcomes_are_consistent(self, requested, n, p, seed):
+        out = aloha_round(requested, n, p, np.random.default_rng(seed))
+        assert out.requested == tuple(requested)
+        assert set(out.delivered) <= set(out.responders) <= set(requested)
+        assert len(set(out.responders)) == len(out.responders)
+        assert set(out.channel_choice) == set(out.responders)
+        load = Counter(out.channel_choice.values())
+        assert all(1 <= ch <= n and load[ch] >= 2 for ch in out.collided_channels)
+        assert set(out.collided_channels) == {ch for ch, k in load.items() if k >= 2}
+        sole = tuple(r for r in out.responders if load[out.channel_choice[r]] == 1)
+        assert out.delivered == sole
+
+        rng = np.random.default_rng(seed)
+        if len(requested) > n:
+            with pytest.raises(ValueError, match="at most"):
+                polling_round(requested, n, p, rng)
+            return
+        out = polling_round(requested, n, p, rng)
+        assert set(out.responders) <= set(requested)
+        assert len(set(out.responders)) == len(out.responders)
+        assert out.delivered == out.responders
+        assert out.collided_channels == () and out.channel_choice == {}
+
+
+def _aloha_delivered_law(q: int, n: int, p: float) -> np.ndarray:
+    """P(d deliveries), d = 0..q: binomial responders, each assignment of
+    them to the n channels equally likely, sole occupants delivered."""
+    law = np.zeros(q + 1)
+    for r in range(q + 1):
+        weight = math.comb(q, r) * p**r * (1 - p) ** (q - r) / n**r
+        for channels in itertools.product(range(n), repeat=r):
+            law[sum(k == 1 for k in Counter(channels).values())] += weight
+    return law
+
+
+# Each case compares every delivered count's frequency over 20,000 rounds
+# with its exact probability P, within 4 binomial standard errors.  For each
+# comparison with 0 < P < 1 the exact binomial chance of leaving that band
+# is at most 7.2e-5; over the 18 such comparisons below, a correct
+# aloha_round fails at an arbitrary seed with chance at most 1.2e-3 (union
+# bound).  Counts with P = 0 must not occur at all.
+@pytest.mark.parametrize(
+    "q, n, p", [(1, 1, 0.5), (2, 1, 0.7), (3, 2, 0.4), (4, 3, 0.6), (6, 2, 0.3), (6, 3, 0.8)]
+)
+def test_aloha_delivered_count_follows_the_exact_law(q, n, p):
+    rounds = 20_000
+    rng = np.random.default_rng(7)
+    requested = list(range(1, q + 1))
+    counts = [len(aloha_round(requested, n, p, rng).delivered) for _ in range(rounds)]
+    freq = np.bincount(counts, minlength=q + 1) / rounds
+    law = _aloha_delivered_law(q, n, p)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    se = np.sqrt(law * (1 - law) / rounds)
+    assert np.all(np.abs(freq - law) <= 4 * se), (freq, law)
+
+
 class TestExpectedSuccesses:
     def test_polling_formula(self):
         assert expected_successes("polling", 4, 0.2, 4) == pytest.approx(0.8)
@@ -162,6 +229,10 @@ class TestOptimalQ:
         with pytest.raises(ValueError):
             optimal_q(4, 0.0, 10)
 
+    def test_subnormal_p_caps_at_remaining(self):
+        # N/p overflows to inf here; the cap applies before the int conversion.
+        assert optimal_q(2, 1e-310, 12) == 12
+
 
 class TestMeanRoundsBound:
     def test_reference_values(self):
@@ -172,6 +243,10 @@ class TestMeanRoundsBound:
     def test_zero_target_needs_zero_rounds(self):
         assert mean_rounds_bound("polling", 0, 4, 0.2) == 0.0
         assert mean_rounds_bound("aloha", 0, 4, 0.2, q=20) == 0.0
+
+    def test_aloha_that_always_collides_never_finishes(self):
+        # N = 1 and p = 1: every round with q >= 2 requests is one collision.
+        assert mean_rounds_bound("aloha", 5, 1, 1.0, q=3) == math.inf
 
     def test_aloha_needs_q(self):
         with pytest.raises(ValueError, match="needs q"):

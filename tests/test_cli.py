@@ -73,11 +73,12 @@ def test_validate_subset(capsys):
 
 
 def test_validate_rejects_unknown_check(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "--only", "9,10"])
-    assert str(exc.value) == (
-        "unknown check ['10']; have ['1', '2', '3', '4', '5', '6', '7', '8', '9']"
-    )
+    for only in ("9,10", "10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--only", only])
+        assert str(exc.value) == (
+            "unknown check ['10']; have ['1', '2', '3', '4', '5', '6', '7', '8', '9']"
+        )
     assert capsys.readouterr().out == ""
 
 
@@ -92,6 +93,15 @@ def test_invalid_config_value_exits_with_one_line(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(cfg)])
     assert str(exc.value) == "gdas run: p must lie in (0, 1]"
+    assert capsys.readouterr().out == ""
+
+
+def test_config_type_error_exits_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mode = aloha\nK = 12\nseed = 1e3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert str(exc.value) == "gdas run: line 3: seed must be an int, got '1e3'"
     assert capsys.readouterr().out == ""
 
 
@@ -116,6 +126,25 @@ def test_file_errors_exit_with_one_line(case, tiny_cfg, tmp_path):
         main(["run", *args, str(path)])
     assert str(exc.value).startswith("gdas run: [Errno ")
     assert str(exc.value).endswith(f"'{path}'")
+
+
+@pytest.mark.parametrize(
+    "command, runner, extra",
+    [
+        ("run", "run_scenario", []),
+        ("sweep", "sweep", ["--param", "p", "--values", "0.3"]),
+        ("bandit", "run_bandit_scenario", []),
+    ],
+)
+def test_out_is_checked_before_the_batch_runs(command, runner, extra, tiny_cfg, capsys):
+    def never(*args):
+        raise AssertionError(f"{runner} ran before --out was checked")
+
+    with patch.object(cli, runner, never), pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tiny_cfg), *extra, "--out", str(tiny_cfg)])
+    assert str(exc.value).startswith(f"gdas {command}: [Errno ")
+    assert str(exc.value).endswith(f"'{tiny_cfg}'")
+    assert capsys.readouterr().out == ""
 
 
 def test_bandit_config_with_nan_tau_exits_with_one_line(tmp_path):

@@ -563,6 +563,19 @@ class TestConfigFiles:
         s = parse_scenario_text("mode = polling\nkbar = none")
         assert s.kbar is None
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("K = 1.5", "line 1: K must be an int, got '1.5'"),
+            ("mode = polling\nseed = 1e3", "line 2: seed must be an int, got '1e3'"),
+            ("rho = abc", "line 1: rho must be a float, got 'abc'"),
+        ],
+    )
+    def test_type_errors_name_the_key_and_the_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_scenario_text(text)
+        assert str(exc.value) == message
+
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("mode = aloha\nK = 15\nseed = 4\n")

@@ -16,13 +16,26 @@ from gdas.experiments import (
     SweepPoint,
     SweepResult,
 )
-from gdas.validate import ROUNDS_ALOHA_WINDOW, _compare, _window
+from gdas.validate import ROUNDS_ALOHA_WINDOW, _bound, _window
 
 
 def test_failed_budget_prints_the_negated_operator():
-    assert _compare("41.4s", False, "<", "30s") == "41.4s >= 30s"
-    assert _compare("12.0s", True, "<", "30s") == "12.0s < 30s"
-    assert _compare("rel 0.0500", False, "<=", "0.03") == "rel 0.0500 > 0.03"
+    assert _bound("41.4s", 41.4, "<", 30.0, "s") == (False, "41.4s >= 30s")
+    assert _bound("12.0s", 12.0, "<", 30.0, "s") == (True, "12.0s < 30s")
+    assert _bound("rel 0.0500", 0.05, "<=", 0.03) == (False, "rel 0.0500 > 0.03")
+
+
+def test_bound_at_the_limit_fails_strict_and_holds_inclusive():
+    assert _bound("5.0s", 5.0, "<", 5.0, "s") == (False, "5.0s >= 5s")
+    assert _bound("err 1.0e-08", 1e-8, "<=", 1e-8) == (True, "err 1.0e-08 <= 1e-8")
+
+
+def test_checks_are_registered_in_order():
+    assert [key for key, _ in validate.ALL_CHECKS] == [str(n) for n in range(1, 10)]
+    check = validate.check_softmax_units
+    assert check.__name__ == "check_softmax_units" and "two-arm closed form" in check.__doc__
+    res = check()
+    assert res.name == "9 softmax-units" and res.passed and res.elapsed > 0
 
 
 def test_window_report_says_in_or_outside():
