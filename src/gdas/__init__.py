@@ -12,11 +12,13 @@ from .access import (
     RoundOutcome,
     aloha_round,
     crossover_check,
+    delivered_law,
     expected_successes,
     mean_rounds_bound,
     optimal_q,
     polling_round,
     sample_upload_success,
+    stop_round_moments,
     uploading_probability,
 )
 from .bandit import (
@@ -47,6 +49,7 @@ from .experiments import (
 from .models import (
     ConditionalState,
     GaussianModel,
+    PosteriorStack,
     build_ar1_model,
     build_model_family,
     condition,

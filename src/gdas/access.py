@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Mapping, Sequence
 
@@ -143,6 +144,66 @@ def expected_successes(mode: str, n_channels: int, p: float, q: int) -> float:
     if mode == "aloha":
         return q * p * (1.0 - p / n_channels) ** (q - 1)
     raise ValueError(f"mode must be 'polling' or 'aloha', got {mode!r}")
+
+
+@lru_cache(maxsize=None)
+def delivered_law(mode: str, n_channels: int, p: float, q: int) -> tuple[float, ...]:
+    """Exact distribution of the deliveries in one round with ``q`` requests.
+
+    Each requested node responds with probability p.  Polling delivers every
+    responder; ALOHA delivers the responders alone on their uniformly chosen
+    channel, computed ball by ball over (empty, singly occupied) channel counts.
+    Entry j is the probability of j deliveries.
+    """
+    expected_successes(mode, n_channels, p, q)  # raises for the same bad arguments
+    N = n_channels
+    resp = [math.comb(q, r) * p**r * (1 - p) ** (q - r) for r in range(q + 1)]
+    if mode == "polling":
+        return tuple(resp)
+    law = [0.0] * (N + 1)
+    occupancy = {(N, 0): 1.0}
+    for r in range(q + 1):
+        for (_, single), pr in occupancy.items():
+            law[single] += resp[r] * pr
+        nxt: dict[tuple[int, int], float] = {}
+        for (empty, single), pr in occupancy.items():
+            for key, w in (
+                ((empty - 1, single + 1), empty / N),
+                ((empty, single - 1), single / N),
+                ((empty, single), (N - empty - single) / N),
+            ):
+                if w > 0:
+                    nxt[key] = nxt.get(key, 0.0) + pr * w
+        occupancy = nxt
+    return tuple(law)
+
+
+def stop_round_moments(
+    mode: str, K: int, n_channels: int, p: float, kbar: int
+) -> tuple[float, float]:
+    """Exact mean and standard deviation of the round in which ``kbar`` of
+    the K measurements have arrived, without a round limit.
+
+    Each round requests ``min(N, unknown)`` nodes under polling and
+    ``optimal_q`` under ALOHA (a random first round requests as many), so
+    the deliveries of a round depend only on the known count k, a Markov
+    chain.  With R_k the rounds still to go from k and J a round's
+    deliveries, R_k = 1 + R_{k+J}; first-step analysis gives its mean m_k
+    and second moment s_k from the larger counts.
+    """
+    if not 0 <= kbar <= K:
+        raise ValueError(f"kbar must lie in 0..{K}")
+    m = [0.0] * (kbar + 1)
+    s = [0.0] * (kbar + 1)
+    for k in range(kbar - 1, -1, -1):
+        remaining = K - k
+        q = min(n_channels, remaining) if mode == "polling" else optimal_q(n_channels, p, remaining)
+        law = delivered_law(mode, n_channels, p, q)
+        ahead = sum(law[j] * m[min(k + j, kbar)] for j in range(1, len(law)))
+        m[k] = (1.0 + ahead) / (1.0 - law[0])
+        ahead_sq = sum(law[j] * s[min(k + j, kbar)] for j in range(1, len(law)))
+        s[k] = (1.0 + 2.0 * (law[0] * m[k] + ahead) + ahead_sq) / (1.0 - law[0])
+    return m[0], math.sqrt(max(s[0] - m[0] ** 2, 0.0))
 
 
 def optimal_q(n_channels: int, p: float, remaining: int) -> int:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .models import ConditionalState
+from .models import ConditionalState, PosteriorStack
 
 # A normalization below this means the model declares the delivered nodes
 # (conditionally) deterministic and the cost ratio is meaningless.
@@ -55,25 +55,33 @@ def new_bandit_state(arms: int, tau: float) -> BanditState:
 
 
 def prediction_error_terms(
-    cond: ConditionalState,
+    cond: ConditionalState | PosteriorStack,
     delivered_idx: Sequence[int],
     delivered_vals: Sequence[float],
+    *,
+    run: int = 0,
+    arm: int = 0,
 ) -> tuple[float, float]:
     """(squared prediction error, its model expectation) for delivered nodes.
 
     The expectation term is the trace of the conditional covariance
-    restricted to the delivered nodes, exact for a Gaussian model.
+    restricted to the delivered nodes, exact for a Gaussian model.  On a
+    ``PosteriorStack`` both terms read the posterior of run ``run`` under its
+    model ``arm``.
     """
-    idx = np.asarray(list(delivered_idx), dtype=np.int64)
+    idx = np.asarray(list(delivered_idx))
     vals = np.asarray(list(delivered_vals), dtype=float)
     if idx.shape[0] == 0:
         raise ValueError("delivered_idx must contain at least one node")
     if idx.shape[0] != vals.shape[0]:
         raise ValueError("delivered_idx and delivered_vals must have the same length")
-    pos = cond.unknown_positions(idx)
-    mu = cond.cond_mean[pos]
-    sub = cond.cond_cov[np.ix_(pos, pos)]
-    return float(np.sum((vals - mu) ** 2)), float(np.trace(sub))
+    if isinstance(cond, PosteriorStack):
+        pos = cond.positions(run, idx)
+        mean, cov = cond.mean[run, arm], cond.cov[run, arm]
+    else:
+        pos = cond.unknown_positions(idx)
+        mean, cov = cond.cond_mean, cond.cond_cov
+    return float(np.sum((vals - mean[pos]) ** 2)), float(cov[pos, pos].sum())
 
 
 def cost_ratio(sqerr: float, expected: float) -> float:

@@ -9,6 +9,12 @@ with c_l node l's column of the current conditional covariance and nu_l its
 conditional variance.  The largest score gives the smallest next-round MSE.
 Scores come straight from the covariance, so selection never looks at
 observed values (or at the hidden ground truth).
+
+One run is a ``SensingState``; the runs of a lockstep block share one
+``PosteriorStack`` that holds every run's posterior under every model.
+``initial_state``, ``select_nodes`` and ``ingest`` take either: on a stack,
+selection reads the chosen model's posterior of each run in place, and
+ingest folds each run's deliveries into all of its models at once.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .models import (
     DEGENERATE_VARIANCE_EPS,
     ConditionalState,
     GaussianModel,
+    PosteriorStack,
+    as_integers,
     condition,
     rank_one_condition,
 )
@@ -63,8 +71,19 @@ class SensingState:
         return self.cond.num_unknown
 
 
-def initial_state(model: GaussianModel, target: np.ndarray | None = None) -> SensingState:
-    """Round-zero state: nothing observed yet."""
+def initial_state(
+    model: GaussianModel | Sequence[GaussianModel], target: np.ndarray | None = None
+) -> SensingState | PosteriorStack:
+    """Round-zero state: nothing observed yet.
+
+    Given a sequence of models and a (B, K) ``target`` (one realization per
+    run), the state of a block of B runs: a ``PosteriorStack`` holding every
+    run's prior under every model.
+    """
+    if not isinstance(model, GaussianModel):
+        target = np.asarray(target, dtype=float)
+        priors = [condition(m, [], []) for m in model]
+        return PosteriorStack(priors, target)
     if target is not None:
         target = np.asarray(target, dtype=float)
         if target.shape != (model.K,):
@@ -73,42 +92,41 @@ def initial_state(model: GaussianModel, target: np.ndarray | None = None) -> Sen
 
 
 def _greedy(
-    covs: Sequence[np.ndarray], labels: Sequence[np.ndarray], counts: Sequence[int], rescore=True
+    S: np.ndarray, labels: np.ndarray, counts: Sequence[int], rescore=True
 ) -> list[list[int]]:
     """Greedy picks for a stack of posteriors, one pivoted-Cholesky step per pick.
 
-    Run b picks ``counts[b]`` of its ``labels[b]``.  Each pick takes the
-    largest score ``colsq_l / nu_l``; scores within ``TIE_TOLERANCE`` of it
-    resolve to the lowest label.  With ``rescore`` false (the ``topq`` rule)
-    a pick only masks its node, so the picks rank the first-step scores.
+    Run b picks ``counts[b]`` nodes from the columns of its covariance
+    ``S[b]``; ``labels[b]`` names the node of each column, 0 marking a
+    column to skip (an observed node or padding, whose row and column are
+    zero).  Each pick takes the largest score ``colsq_l / nu_l``; scores
+    within ``TIE_TOLERANCE`` of it resolve to the lowest label.  With
+    ``rescore`` false (the ``topq`` rule) a pick only masks its node, so the
+    picks rank the first-step scores.
 
-    The covariances are zero-padded into one (B, n, n) stack ``S``.  After
-    k picks the Schur complement is ``S - L^T L``, the rows of ``L`` being
-    the scaled pivot columns, so ``S`` is never downdated: the squared
+    After k picks the Schur complement is ``S - L^T L``, the rows of ``L``
+    being the scaled pivot columns, so ``S`` is never downdated: the squared
     column norms ``colsq`` and the variances ``diag`` follow each pick by a
     rank-one update that costs one matrix-vector product per run (pivoted
     Cholesky; Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 2012).
-    Picked and padded nodes carry ``colsq = -inf``.  A pick whose variance
+    Picked and skipped nodes carry ``colsq = -inf``.  A pick whose variance
     is at most ``DEGENERATE_VARIANCE_EPS`` updates nothing; its row and
-    column are just dropped.  The last pick needs no update.
+    column are just dropped (from a copy: ``S`` may be a caller's array).
+    The last pick needs no update.
     """
-    B = len(covs)
+    B, n = labels.shape
     steps = max(counts, default=0)
     if steps == 0:
         return [[] for _ in range(B)]
-    n = max(c.shape[0] for c in covs)
-    S = np.zeros((B, n, n))
-    for b, c in enumerate(covs):
-        S[b, : c.shape[0], : c.shape[0]] = c
     diag = np.diagonal(S, axis1=1, axis2=2).copy()
     colsq = np.einsum("bij,bij->bj", S, S)
-    for b, c in enumerate(covs):
-        colsq[b, c.shape[0] :] = -np.inf
+    colsq[labels == 0] = -np.inf
     total = diag.sum(axis=1)
     L = np.zeros((B, steps - 1, n))
     rows = np.arange(B)
     score = np.empty((B, n))
     picked = []
+    copied = False
     for k in range(steps):
         np.maximum(diag, DEGENERATE_VARIANCE_EPS, out=score)
         np.divide(colsq, score, out=score)
@@ -140,17 +158,22 @@ def _greedy(
         total -= np.where(good, score[rows, l], nu)
         L[:, k] = u
         if not good.all():
+            if not copied:
+                S, copied = S.copy(), True
             for b in np.flatnonzero(~good):
                 colsq[b] -= c[b] * c[b]
                 S[b, l[b], :] = S[b, :, l[b]] = L[b, :, l[b]] = 0.0
     picks = np.stack(picked, axis=1)
-    return [[int(lab[i]) for i in picks[b, : counts[b]]] for b, lab in enumerate(labels)]
+    return [labels[b, picks[b, : counts[b]]].tolist() for b in range(B)]
 
 
 def select_nodes(
-    state: SensingState | Sequence[SensingState],
+    state: SensingState | PosteriorStack,
     q: int | Sequence[int],
     rule: str = "greedy",
+    *,
+    runs: Sequence[int] | None = None,
+    arms: Sequence[int] | None = None,
 ) -> list[int] | list[list[int]]:
     """Choose the next ``q`` nodes to request.
 
@@ -160,34 +183,67 @@ def select_nodes(
     best first-step scores (its first pick is greedy's) and is kept as a
     comparison switch.
 
-    ``state`` may also be a sequence of states, one per run of a block that
-    advances in lockstep; ``q`` is then a shared count or one count per
-    state, and the result holds one pick list per state.  Each state gets
-    the picks it would get alone: the block shares numpy calls, not data
-    (scores may differ in the last bits, which can only matter for a
-    near-tie at the edge of ``TIE_TOLERANCE``).
+    ``state`` may also be a ``PosteriorStack``, whose runs ``runs``
+    (default: all) pick under their models ``arms`` (positions in the
+    stack's model list, default 0); ``q`` is then a shared count or one
+    count per run, and the result holds one pick list per run.  Each run
+    gets the picks it would get alone: a stack shares numpy calls, not
+    data.  Scores may differ in the last bits, which matters only for a
+    near-tie at the edge of ``TIE_TOLERANCE``, or once ``greedy`` has
+    re-scored past the rank of a near-singular model, where the scores left
+    are rounding noise.
     """
-    block = not isinstance(state, SensingState)
-    states = list(state) if block else [state]
-    qs = [int(v) for v in np.broadcast_to(q, (len(states),))]
-    if any(v < 1 for v in qs):
-        raise ValueError("q must be >= 1")
     if rule not in ("greedy", "topq"):
         raise ValueError(f"unknown selection rule: {rule!r}")
-    conds = [st.cond for st in states]
-    counts = [min(v, c.num_unknown) for v, c in zip(qs, conds)]
-    covs, labels = [c.cond_cov for c in conds], [c.unknown_idx for c in conds]
-    picks = _greedy(covs, labels, counts, rescore=rule == "greedy")
-    return picks if block else picks[0]
+    if isinstance(state, PosteriorStack):
+        rows = np.arange(len(state.unknown)) if runs is None else np.asarray(runs, dtype=np.int64)
+        arms = np.zeros_like(rows) if arms is None else np.asarray(arms, dtype=np.int64)
+        qs = _counts(q, rows.shape[0])
+        counts = [min(v, state.unknown[b]) for v, b in zip(qs, rows.tolist())]
+        S = state.cov[rows, arms]
+        return _greedy(S, state.labels[rows], counts, rescore=rule == "greedy")
+    cond = state.cond
+    (q,) = _counts(q, 1)
+    count = min(q, cond.num_unknown)
+    return _greedy(cond.cond_cov[None], cond.unknown_idx[None], [count], rule == "greedy")[0]
 
 
-def ingest(state: SensingState, delivered: Mapping[int, float]) -> SensingState:
+def _counts(q: int | Sequence[int], n: int) -> list[int]:
+    """``q`` as ``n`` request counts; each must be an integer >= 1."""
+    qs = as_integers(np.broadcast_to(q, (n,)), "q").tolist()
+    if any(v < 1 for v in qs):
+        raise ValueError("q must be >= 1")
+    return qs
+
+
+def ingest(
+    state: SensingState | PosteriorStack,
+    delivered: Mapping[int, float] | Mapping[int, Mapping[int, float]],
+) -> SensingState | PosteriorStack:
     """Fold a round's delivered measurements into the state.
 
     Nodes are conditioned one at a time (ascending label) through the
     rank-one update; near-deterministic nodes are absorbed without a
     covariance update.  An empty delivery returns ``state`` itself.
+
+    On a ``PosteriorStack``, ``delivered`` maps each run still in play to
+    its deliveries (possibly none), which are folded into all of the run's
+    models in place; runs left out have finished and are dropped when the
+    stack is next compacted.  The stack is returned.
     """
+    if isinstance(state, PosteriorStack):
+        for run, payload in delivered.items():
+            if payload:
+                nodes = sorted(payload)
+                rank_one_condition(
+                    state,
+                    nodes,
+                    [float(payload[n]) for n in nodes],
+                    absorb_degenerate=True,
+                    run=run,
+                )
+        state.compact(list(delivered))
+        return state
     if not delivered:
         return state
     nodes = sorted(delivered)
@@ -203,4 +259,4 @@ def polling_order(model: GaussianModel) -> list[int]:
     Depends only on the covariance, so it can be fixed before any value is
     seen and is identical for every realization.
     """
-    return _greedy([model.cov], [np.arange(1, model.K + 1)], [model.K])[0]
+    return _greedy(model.cov[None], np.arange(1, model.K + 1)[None], [model.K])[0]

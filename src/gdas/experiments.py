@@ -48,13 +48,15 @@ SWEEP_SCHEMA = "gdas.sweep.v1"
 _MODES = ("polling", "aloha", "bandit")
 _FIRST_ROUND = ("random", "greedy")
 
-# Runs advance in lockstep blocks whose K x K float64 posteriors (one per
-# run and arm, plus the copy of one per run that ``select_nodes`` stacks)
-# take at most this many bytes.  At K=100 that is 13 runs, or 4 bandit runs
+# Runs advance in lockstep blocks that share one posterior stack: a K x K
+# float64 posterior per run and arm, plus the copy of one per run that
+# ``select_nodes`` gathers for the arm each run selects with.  Together they
+# take at most this many bytes.  At K=100 that is 19 runs, or 6 bandit runs
 # of 5 arms; K=400 gets blocks of one.  The cap bounds the memory blocking
-# adds: blocks of 26 runs at K=100 raised the peak RSS of a 500-run ALOHA
-# batch by 6.5% on a 2-vCPU Xeon.
-BLOCK_BYTES = 2 << 20
+# adds: with the stack at this cap, the peak RSS of the four benchmark
+# workloads measured 0.2-2.2 MB below that of per-run posteriors in 2 MB
+# blocks (2-vCPU Xeon), and bandit runs got 6 runs per block instead of 4.
+BLOCK_BYTES = 3 << 20
 
 
 @dataclass(frozen=True)
@@ -284,9 +286,10 @@ def _run_all(
     """Round table and stop rounds of every run of ``scenario``.
 
     Runs advance in lockstep blocks of ``_block_size(K, arms)`` so that one
-    ``select_nodes`` call picks for the whole block each round.  Each run
-    still draws from its own generator in its own order, so the output is
-    the same as running the runs one after another.
+    ``select_nodes`` call picks for the whole block each round and one
+    ``ingest`` call folds its deliveries.  Each run still draws from its own
+    generator in its own order, so the output is the same as running the
+    runs one after another.
     """
     draw = _sampler(models[true_idx])
     runs = scenario.run_count
@@ -330,9 +333,10 @@ def _run_block(
 ) -> tuple[list[tuple], list[int | None]]:
     """Round-table rows in (run, t) order and stop rounds of the runs ``run_ids``.
 
-    Each run keeps one posterior per arm, all fed the same deliveries:
-    polling and ALOHA runs have one arm, bandit runs one per model, and
-    rows report the posterior of arm ``true_idx``.
+    The block's runs share one posterior stack that holds each run's
+    posterior under every arm, all fed the same deliveries: polling and
+    ALOHA runs have one arm, bandit runs one per model, and rows report the
+    posterior of arm ``true_idx``.
     """
     p = scenario.upload_p
     N = scenario.N
@@ -344,7 +348,7 @@ def _run_block(
 
     rngs = [_run_rng(scenario.seed, run) for run in run_ids]
     xs = [draw(rng) for rng in rngs]
-    arm_states = [[initial_state(model, x) for model in models] for x in xs]
+    post = initial_state(models, np.array(xs))
     bsts = [new_bandit_state(len(models), scenario.tau) for _ in run_ids] if bandit else None
     arm = [1] * len(run_ids)
     probs: list[tuple[float, ...] | None] = [None] * len(run_ids)
@@ -356,7 +360,7 @@ def _run_block(
     last: list[tuple[int, list[int]] | None] = [None] * len(run_ids)
     active = list(range(len(run_ids)))
     for t in range(scenario.rounds_limit):
-        active = [i for i in active if arm_states[i][0].unknown_count]
+        active = [i for i in active if post.unknown[i]]
         if not active:
             break
         if bandit:
@@ -364,23 +368,20 @@ def _run_block(
                 arm[i], probs[i] = _choose_arm(scenario, bsts[i], t, rngs[i])
         if t == 0 and random_start:
             requests = [
-                _first_request(
-                    scenario, _round_q(scenario, p, arm_states[i][0].unknown_count), rngs[i]
-                )
+                _first_request(scenario, _round_q(scenario, p, post.unknown[i]), rngs[i])
                 for i in active
             ]
         else:
             stale = [i for i in active if last[i] is None or last[i][0] != arm[i]]
-            qs = [_round_q(scenario, p, arm_states[i][0].unknown_count) for i in stale]
-            chosen = [arm_states[i][arm[i] - 1] for i in stale]
-            for i, picks in zip(stale, select_nodes(chosen, qs, rule=rule)):
+            qs = [_round_q(scenario, p, post.unknown[i]) for i in stale]
+            arms = [arm[i] - 1 for i in stale]
+            for i, picks in zip(stale, select_nodes(post, qs, rule, runs=stale, arms=arms)):
                 last[i] = (arm[i], picks)
             requests = [last[i][1] for i in active]
-        still = []
+        payloads = {}
+        rounds = []
         for i, requested in zip(active, requests):
             m = arm[i]
-            states = arm_states[i]
-            known_before = states[0].known_count
             outcome = access(requested, N, p, rngs[i])
             x = xs[i]
             delivered = list(outcome.delivered)
@@ -391,10 +392,10 @@ def _run_block(
             if bandit:
                 if delivered:
                     sqerr_d, expected_d = prediction_error_terms(
-                        states[m - 1].cond, delivered, vals
+                        post, delivered, vals, run=i, arm=m - 1
                     )
                     _, expected_true = prediction_error_terms(
-                        states[true_idx].cond, delivered, vals
+                        post, delivered, vals, run=i, arm=true_idx
                     )
                     cost = cost_ratio(sqerr_d, expected_d)
                     if scenario.fixed_model is None:
@@ -402,24 +403,27 @@ def _run_block(
                 else:
                     sqerr_d = expected_true = cost = float("nan")
                 extra = (m, cost, sqerr_d, expected_true, *probs[i])
-            payload = dict(zip(delivered, vals))
-            states = [ingest(st, payload) for st in states]
-            arm_states[i] = states
+            payloads[i] = dict(zip(delivered, vals))
+            rounds.append(
+                (i, post.K - post.unknown[i], len(delivered), len(outcome.collided_channels), extra)
+            )
+        ingest(post, payloads)
+        still = []
+        for i, known_before, n_delivered, n_collided, extra in rounds:
             run_rows[i].append(
                 (
                     run_ids[i],
                     t,
                     known_before,
-                    states[true_idx].mse_theory,
-                    states[true_idx].sqerr_actual,
-                    len(delivered),
-                    len(outcome.collided_channels),
+                    post.mse_theory(i, true_idx),
+                    post.sqerr_actual(i, true_idx),
+                    n_delivered,
+                    n_collided,
                     *extra,
                 )
             )
-            if states[0].known_count >= kbar:
+            if post.K - post.unknown[i] >= kbar:
                 stops[i] = t + 1
-                arm_states[i] = None
             else:
                 still.append(i)
         active = still

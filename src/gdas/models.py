@@ -3,14 +3,18 @@
 Nodes carry global labels 1..K everywhere in the public API.  A
 ``GaussianModel`` holds the joint mean vector and covariance matrix of the K
 scalar node measurements; a ``ConditionalState`` holds the exact posterior of
-the still-unknown nodes given every observation made so far.
+the still-unknown nodes given every observation made so far, and a
+``PosteriorStack`` holds the posteriors of a block of runs under several
+models at once, updated in place.
 
 Two conditioning paths are provided and must agree:
 
 * ``condition`` forms the Schur complement of the observed block from one
   Cholesky factorization and is the reference implementation,
 * ``rank_one_condition`` folds in one observation at a time with an
-  O(L^2) covariance downdate, which is what the round loop uses.
+  O(L^2) covariance downdate.  It is one kernel over a stack of posteriors:
+  the round loop folds each run's deliveries into all of its models in
+  place, and a ``ConditionalState`` goes through it as a stack of one.
 """
 
 from __future__ import annotations
@@ -32,6 +36,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def as_integers(values, what: str = "a node label") -> np.ndarray:
+    """``values`` as an int64 array; raises ``ValueError`` for any value that
+    is not an integer (2.0 passes, 2.5 and nan do not) instead of truncating."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = np.asarray(arr, dtype=float)
+        whole = np.isfinite(arr) & (arr == np.trunc(arr))
+        if not whole.all():
+            raise ValueError(f"{what} must be an integer, got {arr[~whole].flat[0]:g}")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -114,9 +130,10 @@ class ConditionalState:
     def unknown_positions(self, nodes: Sequence[int]) -> np.ndarray:
         """Positions of ``nodes`` inside the unknown subvector.
 
-        Raises ``ValueError`` when a label is already observed or outside 1..K.
+        Raises ``ValueError`` when a label is already observed, outside 1..K
+        or not an integer.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = as_integers(nodes)
         pos = self.unknown_idx.searchsorted(nodes)
         if self.unknown_idx.shape[0]:
             found = self.unknown_idx.take(pos, mode="clip") == nodes
@@ -178,7 +195,7 @@ def condition(
     R_uz R_z^{-1} R_zu = W_u^T W_u and R_uz R_z^{-1} (z - z_bar) = W_u^T w_z;
     R_z is never inverted.
     """
-    idx_arr = np.asarray(list(idx), dtype=np.int64)
+    idx_arr = as_integers(list(idx))
     vals_arr = np.asarray(list(vals), dtype=float)
     k = model.K
     if idx_arr.shape[0] != vals_arr.shape[0]:
@@ -213,13 +230,141 @@ def condition(
     )
 
 
+def _fold(
+    cov: np.ndarray,
+    mean: np.ndarray,
+    pos: np.ndarray,
+    values: Sequence[float],
+    labels: Sequence[int],
+    absorb_degenerate: bool,
+) -> None:
+    """Fold observations into one run's posteriors under M models, in place.
+
+    ``cov`` is (M, n, n) and ``mean`` (M, n); column ``pos[i]`` holds node
+    ``labels[i]``, observed at ``values[i]``.  Each observation is one
+    rank-one downdate of every model, after which its row and column (and
+    mean entry) are zero.
+    """
+    step = np.empty_like(cov)
+    for l, v, label in zip(pos.tolist(), values, labels):
+        c = cov[:, :, l].copy()
+        nu = c[:, l].copy()
+        good = nu > DEGENERATE_VARIANCE_EPS
+        if not good.all():
+            if not absorb_degenerate:
+                raise DegenerateVarianceError(
+                    f"conditional variance of node {label} is {nu[~good][0]:.3e}; "
+                    "the value is already determined by the data"
+                )
+            # A zero column leaves that model's posterior as it is.
+            c[~good] = 0.0
+            nu[~good] = 1.0
+        mean += c * ((v - mean[:, l]) / nu)[:, None]
+        np.einsum("mi,mj->mij", c, c, out=step)
+        step /= nu[:, None, None]
+        cov -= step
+        cov[:, l, :] = 0.0
+        cov[:, :, l] = 0.0
+        mean[:, l] = 0.0
+
+
+class PosteriorStack:
+    """Posteriors of B runs under M models each, updated in place.
+
+    ``cov`` is (B, M, n, n) and ``mean`` (B, M, n).  Column j of run b holds
+    node ``labels[b, j]`` under every model (the models of a run share one
+    unknown set); an observed node, or a column past a run's width, has label
+    0 and zero rows, columns and means.  A run's nonzero labels ascend, so its
+    unknown set reads off in label order.  ``where[b, k]`` is the column of
+    node k in run b (-1 once observed), ``unknown[b]`` the run's unknown
+    count and ``targets`` (B, K) the hidden realizations that
+    ``sqerr_actual`` scores against.
+    """
+
+    def __init__(self, priors: Sequence[ConditionalState], targets: np.ndarray):
+        labels = priors[0].unknown_idx
+        if any(not np.array_equal(p.unknown_idx, labels) for p in priors):
+            raise ValueError("the priors of a stack must share one unknown set")
+        n = labels.shape[0]
+        runs = targets.shape[0]
+        self.K = n + len(priors[0].known_idx)
+        self.cov = np.empty((runs, len(priors), n, n))
+        self.cov[:] = np.stack([p.cond_cov for p in priors])
+        self.mean = np.empty((runs, len(priors), n))
+        self.mean[:] = np.stack([p.cond_mean for p in priors])
+        self.labels = np.tile(labels, (runs, 1))
+        self.where = np.full((runs, self.K + 2), -1, dtype=np.int64)
+        self.where[:, labels] = np.arange(n)
+        self.unknown = [n] * runs
+        self.targets = targets
+
+    def positions(self, run: int, nodes: Sequence[int]) -> np.ndarray:
+        """Columns of ``nodes`` in ``run``; the same errors as
+        ``ConditionalState.unknown_positions``."""
+        nodes = as_integers(nodes)
+        # Labels outside 1..K clip onto the -1 sentinels in columns 0 and K+1.
+        pos = self.where[run].take(nodes, mode="clip")
+        if (pos < 0).any():
+            raise ValueError(
+                f"node {int(nodes[pos < 0][0])} is not in the unknown set "
+                "(already observed or not a valid label)"
+            )
+        return pos
+
+    def columns(self, run: int) -> np.ndarray:
+        """The columns of ``run``'s unknown nodes, in ascending label order."""
+        return self.labels[run].nonzero()[0]
+
+    def mse_theory(self, run: int, arm: int = 0) -> float:
+        """Trace of ``run``'s posterior covariance under its model ``arm``."""
+        return float(self.cov[run, arm].diagonal()[self.columns(run)].sum())
+
+    def sqerr_actual(self, run: int, arm: int = 0) -> float:
+        """Squared error of ``run``'s posterior mean under its model ``arm``
+        against the run's target."""
+        cols = self.columns(run)
+        u = self.targets[run, self.labels[run, cols] - 1]
+        return float(((u - self.mean[run, arm, cols]) ** 2).sum())
+
+    def _observe(self, run: int, pos: np.ndarray) -> None:
+        self.where[run, self.labels[run, pos]] = -1
+        self.labels[run, pos] = 0
+        self.unknown[run] -= pos.shape[0]
+
+    def compact(self, runs: Sequence[int]) -> None:
+        """Keep only ``runs``, gathered to the narrowest width that holds them,
+        once the widest of them fills less than 3/4 of the stack's width.
+
+        The other runs are dropped: they read as fully known from then on.
+        """
+        width = max((self.unknown[b] for b in runs), default=0)
+        if width >= 0.75 * self.cov.shape[-1]:
+            return
+        B, M = self.mean.shape[:2]
+        cov = np.zeros((B, M, width, width))
+        mean = np.zeros((B, M, width))
+        labels = np.zeros((B, width), dtype=np.int64)
+        self.where[:] = -1
+        self.unknown = [0] * B
+        for b in runs:
+            cols = self.columns(b)
+            u = cols.shape[0]
+            cov[b, :, :u, :u] = self.cov[b].take(cols, axis=1).take(cols, axis=2)
+            mean[b, :, :u] = self.mean[b].take(cols, axis=1)
+            labels[b, :u] = self.labels[b, cols]
+            self.where[b, labels[b, :u]] = np.arange(u)
+            self.unknown[b] = u
+        self.cov, self.mean, self.labels = cov, mean, labels
+
+
 def rank_one_condition(
-    state: ConditionalState,
+    state: ConditionalState | PosteriorStack,
     node: int | Sequence[int],
     value: float | Sequence[float],
     *,
     absorb_degenerate: bool = False,
-) -> ConditionalState:
+    run: int = 0,
+) -> ConditionalState | PosteriorStack:
     """Fold the observation ``node = value`` into an existing posterior.
 
     Uses the rank-one Schur downdate
@@ -232,9 +377,13 @@ def rank_one_condition(
     union of the observed sets to within accumulation error.
 
     ``node`` and ``value`` may also be equal-length sequences: the
-    observations are folded in that order, one downdate each, and the
-    arrays are compacted once at the end.  The result is bit-identical to
-    folding them one call at a time.
+    observations are folded in that order, one downdate each.  The result
+    is bit-identical to folding them one call at a time.
+
+    A ``PosteriorStack`` is updated in place: the observations are folded
+    into every model of its run ``run``, and the stack is returned.  A
+    ``ConditionalState`` is folded as a stack of one, and the result is a
+    new, compact ``ConditionalState``.
 
     Raises ``DegenerateVarianceError`` when nu_l is below
     ``DEGENERATE_VARIANCE_EPS``: the node is already determined.  With
@@ -243,45 +392,31 @@ def rank_one_condition(
     it carries no new information about the others, so this equals
     conditioning it at its conditional mean.
     """
-    nodes = np.atleast_1d(np.asarray(node, dtype=np.int64))
+    nodes = np.atleast_1d(as_integers(node))
     values = np.atleast_1d(np.asarray(value, dtype=float))
     if nodes.shape != values.shape or nodes.ndim != 1:
         raise ValueError("node and value must have the same length")
     labels = nodes.tolist()
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate node labels")
+    if isinstance(state, PosteriorStack):
+        pos = state.positions(run, nodes)
+        _fold(state.cov[run], state.mean[run], pos, values.tolist(), labels, absorb_degenerate)
+        state._observe(run, pos)
+        return state
     pos = state.unknown_positions(nodes)
-    # Gather once, with the observed nodes last in reverse order: the node
-    # folded next is then always the last row, and each downdate yields the
-    # leading block without it.
-    n = state.num_unknown
-    stay = np.ones(n, dtype=bool)
-    stay[pos] = False
-    order = np.concatenate((np.flatnonzero(stay), pos[::-1]))
-    mean = state.cond_mean[order]
-    cov = state.cond_cov.take(order, axis=0).take(order, axis=1)
-    for j, label, v in zip(range(n - 1, -1, -1), labels, values.tolist()):
-        nu = float(cov[j, j])
-        if nu > DEGENERATE_VARIANCE_EPS:
-            col = cov[:j, j]
-            mean = mean[:j] + col * ((v - float(mean[j])) / nu)
-            step = col[:, None] * col
-            step /= nu
-            cov = cov[:j, :j] - step
-        elif absorb_degenerate:
-            mean = mean[:j]
-            cov = cov[:j, :j]
-        else:
-            raise DegenerateVarianceError(
-                f"conditional variance of node {label} is {nu:.3e}; "
-                "the value is already determined by the data"
-            )
+    cov = np.array(state.cond_cov)[None]
+    mean = np.array(state.cond_mean)[None]
+    _fold(cov, mean, pos, values.tolist(), labels, absorb_degenerate)
+    keep = np.ones(state.num_unknown, dtype=bool)
+    keep[pos] = False
+    keep = np.flatnonzero(keep)
     return ConditionalState(
         state.known_idx + tuple(labels),
         np.concatenate((state.known_vals, values)),
-        state.unknown_idx[order[: mean.shape[0]]],
-        mean,
-        np.ascontiguousarray(cov),
+        state.unknown_idx[keep],
+        mean[0, keep],
+        cov[0].take(keep, axis=0).take(keep, axis=1),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .access import aloha_round, expected_successes
+from .access import aloha_round, expected_successes, stop_round_moments
 from .bandit import round_cost_from_state, softmax_probs, new_bandit_state, update
 from .engine import ingest, initial_state, polling_order, select_nodes
 from .experiments import BanditResult, RunResult, SweepPoint, SweepResult
@@ -108,6 +108,16 @@ def rounds_problems(results: dict[str, RunResult]) -> list[str]:
     return problems
 
 
+def _exact_stop_round(res: RunResult) -> str:
+    """The exact mean stop round of ``res``'s scenario and the z-score of its
+    sample mean, in standard errors of the mean over the runs that stopped."""
+    s = res.scenario
+    mean, sd = stop_round_moments(s.mode, s.K, s.N, s.upload_p, s.stop_threshold)
+    reached = [r for r in res.stop_rounds if r is not None]
+    se = sd / math.sqrt(len(reached)) if reached else math.nan
+    return f" (exact {mean:.4f}, z {(res.mean_stop_round - mean) / se:+.2f})"
+
+
 @_check("1 round-counts")
 def check_round_counts(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """The ``rounds`` preset (polling at ``seed``, ALOHA at ``seed + 1``) under
@@ -124,6 +134,7 @@ def check_round_counts(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     in_time, budget = _bound(f"{elapsed:.1f}s", elapsed, "<", ROUNDS_BUDGET_S, "s")
     parts = [
         _window(f"{label} mean stop", res.mean_stop_round, ROUNDS_WINDOWS[label])
+        + _exact_stop_round(res)
         for label, res in results.items()
     ]
     parts += [f"censored runs {sum(res.censored_runs for res in results.values())}", budget]

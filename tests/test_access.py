@@ -1,8 +1,11 @@
 """Channel layer: uploading draws, polling/ALOHA rounds, closed forms."""
 
+import importlib
 import itertools
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 from gdas.access import (
     aloha_round,
     crossover_check,
+    delivered_law,
     expected_successes,
     mean_rounds_bound,
     optimal_q,
     polling_round,
     sample_upload_success,
+    stop_round_moments,
     uploading_probability,
 )
 
@@ -182,6 +187,10 @@ def test_aloha_delivered_count_follows_the_exact_law(q, n, p):
     freq = np.bincount(counts, minlength=q + 1) / rounds
     law = _aloha_delivered_law(q, n, p)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    exact = np.zeros(max(q, n) + 1)
+    exact[: n + 1] = delivered_law("aloha", n, p, q)
+    np.testing.assert_allclose(exact[: q + 1], law, rtol=0, atol=1e-12)
+    assert not exact[q + 1 :].any()
     se = np.sqrt(law * (1 - law) / rounds)
     assert np.all(np.abs(freq - law) <= 4 * se), (freq, law)
 
@@ -251,6 +260,38 @@ class TestMeanRoundsBound:
     def test_aloha_needs_q(self):
         with pytest.raises(ValueError, match="needs q"):
             mean_rounds_bound("aloha", 10, 4, 0.2)
+
+
+class TestStopRoundMoments:
+    def test_rounds_preset_values(self):
+        # Check 1's exact references: K=100, N=4, p=0.2, kbar=75.
+        aloha = stop_round_moments("aloha", 100, 4, 0.2, 75)
+        polling = stop_round_moments("polling", 100, 4, 0.2, 75)
+        assert aloha == pytest.approx((50.0637, 4.5416), abs=5e-5)
+        assert polling == pytest.approx((94.1250, 9.6865), abs=5e-5)
+
+    def test_matches_the_benchmark_gate(self):
+        # perfbench/gate.py keeps its own copy of the mean recursion.
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            gate = importlib.import_module("gate")
+        finally:
+            sys.path.remove(perfbench)
+        for mode in ("aloha", "polling"):
+            for K, N, p, kbar in ((100, 4, 0.2, 75), (400, 16, 0.2, 300), (12, 2, 0.4, 9)):
+                mean, _ = stop_round_moments(mode, K, N, p, kbar)
+                assert mean == gate.expected_stop_round(mode, K, N, p, kbar)
+                assert delivered_law(mode, N, p, 5) == gate.delivered_law(mode, N, p, 5)
+
+    def test_geometric_rounds(self):
+        # One node, one channel: the stop round is geometric in p.
+        for mode in ("aloha", "polling"):
+            mean, sd = stop_round_moments(mode, 1, 1, 0.3, 1)
+            assert mean == pytest.approx(1 / 0.3, rel=1e-12)
+            assert sd == pytest.approx(math.sqrt(0.7) / 0.3, rel=1e-12)
+        # Certain polling of N nodes a round: deterministic.
+        assert stop_round_moments("polling", 12, 4, 1.0, 10) == (3.0, 0.0)
 
 
 class TestCrossover:

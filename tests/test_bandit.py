@@ -7,6 +7,7 @@ import pytest
 
 from gdas.bandit import (
     new_bandit_state,
+    prediction_error_terms,
     round_cost_from_state,
     select_model,
     softmax_probs,
@@ -73,6 +74,11 @@ class TestRoundCost:
         model = random_psd_model(rng, 4)
         with pytest.raises(ValueError, match="at least one"):
             round_cost_from_state(condition(model, [], []), [], [])
+
+    def test_non_integer_label_rejected(self):
+        cond = condition(build_ar1_model(4, 0.9), [], [])
+        with pytest.raises(ValueError, match="must be an integer, got 3.2"):
+            prediction_error_terms(cond, [3.2], [0.0])
 
     def test_degenerate_model_rejected(self):
         model = GaussianModel(mean=np.zeros(3), cov=np.zeros((3, 3)))

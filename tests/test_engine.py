@@ -101,10 +101,8 @@ class TestTopq:
     def test_first_pick_is_greedys_on_the_ar1_grid(self):
         grid = [(k, rho) for k in range(2, 40) for rho in (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
         states = [initial_state(build_ar1_model(k, rho)) for k, rho in grid]
-        topq = select_nodes(states, 1, rule="topq")
-        assert topq == select_nodes(states, 1)
-        # One state at a time, as a run alone would ask.
-        assert [select_nodes(st, 1, rule="topq") for st in states] == topq
+        topq = [select_nodes(st, 1, rule="topq") for st in states]
+        assert topq == [select_nodes(st, 1) for st in states]
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(data=strategies.data())
@@ -149,6 +147,8 @@ class TestSelectNodes:
         st = initial_state(build_ar1_model(3, 0.5))
         with pytest.raises(ValueError):
             select_nodes(st, 0)
+        with pytest.raises(ValueError, match="q must be an integer, got 2.9"):
+            select_nodes(st, 2.9)
 
     def test_ties_resolve_to_lowest_label(self):
         st = initial_state(GaussianModel(mean=np.zeros(4), cov=np.eye(4)))
@@ -242,6 +242,9 @@ class TestIngest:
         for label in (0, 4):
             with pytest.raises(ValueError, match="not a valid label"):
                 ingest(st, {label: 1.0})
+        # A non-integer label is not truncated to node 2.
+        with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+            ingest(initial_state(build_ar1_model(4, 0.9)), {2.5: 1.0})
 
     def test_accumulated_set_grows_monotonically(self, rng):
         model = build_ar1_model(8, 0.9)

@@ -6,6 +6,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve
 
+from gdas.engine import ingest, initial_state
 from gdas.errors import DegenerateVarianceError, NumericalDegeneracyError
 from gdas.models import (
     GaussianModel,
@@ -85,6 +86,8 @@ class TestCondition:
             condition(model, [2, 2], [1.0, 1.0])
         with pytest.raises(ValueError, match="same length"):
             condition(model, [1, 2], [1.0])
+        with pytest.raises(ValueError, match="must be an integer, got 1.7"):
+            condition(model, [1.7], [0.0])
 
     def test_trace_never_increases_with_observations(self, rng):
         for _ in range(25):
@@ -260,6 +263,63 @@ class TestOracleAccuracy:
         model = random_psd_model(rng, k)
         x = rng.normal(0.0, 2.0, size=k)
         assert_chain_matches_oracles(model, order, x, range(1, k + 1))
+
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_stack_equals_oracle_on_random_delivery_slots(self, data):
+        """The block path: each round folds random delivery slots of several
+        runs into one ``PosteriorStack``, which compacts as runs narrow or
+        leave.  Every run's posterior under every model equals its own
+        ``rank_one_condition`` chain bit for bit and ``condition`` within
+        1e-9 * scale.  Near rank-3 family models absorb degenerate nodes
+        (so ``condition``, which uses the values, is not their reference)."""
+        k = data.draw(st.integers(7, 200), label="K")
+        runs = data.draw(st.integers(1, 4), label="runs")
+        near_singular = data.draw(st.booleans(), label="near_singular")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if near_singular:
+            models = build_model_family(k, noise=1e-11)[:3]
+        else:
+            models = [random_psd_model(rng, k) for _ in range(data.draw(st.integers(1, 3)))]
+        x = np.stack([model_draw(models[0], rng) for _ in range(runs)])
+        atol = 1e-9 * max(1.0, float(np.abs(x).max()))
+        post = initial_state(models, x)
+        chains = [[condition(model, [], []) for model in models] for _ in range(runs)]
+        order = [rng.permutation(k) + 1 for _ in range(runs)]
+        done = [0] * runs
+        playing = list(range(runs))
+        while playing:
+            slots = {}
+            for b in playing:
+                nodes = order[b][done[b] : done[b] + int(rng.integers(0, 6))]
+                done[b] += nodes.shape[0]
+                slots[b] = {int(v): float(x[b, v - 1]) for v in rng.permutation(nodes)}
+            ingest(post, slots)
+            for b, payload in slots.items():
+                nodes = sorted(payload)
+                vals = [payload[v] for v in nodes]
+                cols = post.columns(b)
+                for a, model in enumerate(models):
+                    chain = chains[b][a]
+                    if nodes:
+                        chain = rank_one_condition(chain, nodes, vals, absorb_degenerate=True)
+                        chains[b][a] = chain
+                    np.testing.assert_array_equal(post.labels[b, cols], chain.unknown_idx)
+                    np.testing.assert_array_equal(post.mean[b, a, cols], chain.cond_mean)
+                    np.testing.assert_array_equal(post.cov[b, a][np.ix_(cols, cols)], chain.cond_cov)
+                    assert post.mse_theory(b, a) == float(np.trace(chain.cond_cov))
+                    skipped = post.labels[b] == 0
+                    assert not post.cov[b, a][skipped].any()
+                    assert not post.cov[b, a][:, skipped].any()
+                    assert not post.mean[b, a][skipped].any()
+                    if not near_singular and (nodes and done[b] % 4 == 0 or done[b] == k):
+                        oracle = condition(model, chain.known_idx, chain.known_vals)
+                        scale = atol * max(1.0, float(np.abs(model.cov).max()))
+                        np.testing.assert_allclose(chain.cond_mean, oracle.cond_mean, 0, scale)
+                        np.testing.assert_allclose(chain.cond_cov, oracle.cond_cov, 0, scale)
+            # Runs leave the block when done, or at random: the stack drops them.
+            playing = [b for b in playing if done[b] < k and rng.random() > 0.05]
 
 
 class TestAr1Model:
