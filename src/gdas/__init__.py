@@ -17,14 +17,12 @@ from .access import (
     mean_rounds_bound,
     optimal_q,
     polling_round,
-    sample_upload_success,
     stop_round_moments,
     uploading_probability,
 )
 from .bandit import (
     BanditState,
     new_bandit_state,
-    round_cost_from_state,
     select_model,
     softmax_probs,
 )

@@ -1,9 +1,8 @@
 """Channel layer: uploading probabilities, sequential polling, multichannel ALOHA.
 
 Fading and measurement availability are collapsed into a single per-round
-Bernoulli "uploading" draw per requested node; ``sample_upload_success``
-draws the underlying exponential channel gain explicitly so tests can verify
-the closed form against the physical model.
+Bernoulli "uploading" draw per requested node, with the closed-form success
+probability of an exponentially distributed channel gain.
 """
 
 from __future__ import annotations
@@ -46,21 +45,6 @@ def uploading_probability(snr_threshold: float, snr_avg: float, availability: fl
     if not 0.0 <= availability <= 1.0:
         raise ValueError(f"availability must lie in [0, 1], got {availability}")
     return math.exp(-snr_threshold / snr_avg) * availability
-
-
-def sample_upload_success(
-    snr_threshold: float,
-    snr_avg: float,
-    availability: float,
-    rng: np.random.Generator,
-    size: int = 1,
-) -> np.ndarray:
-    """Draw upload successes from the physical model (exponential gain + availability)."""
-    if snr_threshold < 0 or snr_avg <= 0 or not 0.0 <= availability <= 1.0:
-        raise ValueError("invalid channel parameters")
-    gain = rng.exponential(scale=snr_avg, size=size)
-    available = rng.random(size) < availability
-    return (gain >= snr_threshold) & available
 
 
 def _check_requested(requested: Sequence[int]) -> tuple[int, ...]:

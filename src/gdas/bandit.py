@@ -55,57 +55,46 @@ def new_bandit_state(arms: int, tau: float) -> BanditState:
 
 
 def prediction_error_terms(
-    cond: ConditionalState | PosteriorStack,
+    post: ConditionalState | PosteriorStack,
     delivered_idx: Sequence[int],
     delivered_vals: Sequence[float],
     *,
     run: int = 0,
     arm: int = 0,
 ) -> tuple[float, float]:
-    """(squared prediction error, its model expectation) for delivered nodes.
+    """(squared prediction error, its model expectation) for delivered nodes,
+    read from the posterior of ``post``'s run ``run`` under its model ``arm``
+    (a ``ConditionalState`` is copied into a stack of one).
 
     The expectation term is the trace of the conditional covariance
-    restricted to the delivered nodes, exact for a Gaussian model.  On a
-    ``PosteriorStack`` both terms read the posterior of run ``run`` under its
-    model ``arm``.
+    restricted to the delivered nodes, exact for a Gaussian model.  Their
+    ratio is the round cost of ``cost_ratio``.
     """
+    post = PosteriorStack([post]) if isinstance(post, ConditionalState) else post
     idx = np.asarray(list(delivered_idx))
     vals = np.asarray(list(delivered_vals), dtype=float)
     if idx.shape[0] == 0:
         raise ValueError("delivered_idx must contain at least one node")
     if idx.shape[0] != vals.shape[0]:
         raise ValueError("delivered_idx and delivered_vals must have the same length")
-    if isinstance(cond, PosteriorStack):
-        pos = cond.positions(run, idx)
-        mean, cov = cond.mean[run, arm], cond.cov[run, arm]
-    else:
-        pos = cond.unknown_positions(idx)
-        mean, cov = cond.cond_mean, cond.cond_cov
+    pos = post.positions(run, idx)
+    mean, cov = post.mean[run, arm], post.cov[run, arm]
     return float(np.sum((vals - mean[pos]) ** 2)), float(cov[pos, pos].sum())
 
 
 def cost_ratio(sqerr: float, expected: float) -> float:
-    """The cost Y = sqerr / expected from ``prediction_error_terms``' two terms;
-    raises ``NumericalDegeneracyError`` when ``expected`` is below ``DEGENERATE_COST_EPS``."""
+    """The cost Y = sqerr / expected from ``prediction_error_terms``' two terms.
+
+    Y = ||x_D - E[x_D | z]||^2 / Tr(Cov(x_D | z)), both evaluated under the
+    candidate model.  Under the data-generating model E[Y] = 1; a mismatched
+    model inflates it.  Raises ``NumericalDegeneracyError`` when ``expected``
+    is below ``DEGENERATE_COST_EPS``.
+    """
     if expected < DEGENERATE_COST_EPS:
         raise NumericalDegeneracyError(
             "model assigns (near-)zero conditional variance to the delivered nodes"
         )
     return sqerr / expected
-
-
-def round_cost_from_state(
-    cond: ConditionalState,
-    delivered_idx: Sequence[int],
-    delivered_vals: Sequence[float],
-) -> float:
-    """Normalized prediction error of this round's deliveries under ``cond``'s model.
-
-    Y = ||x_D - E[x_D | z]||^2 / Tr(Cov(x_D | z)), both evaluated under the
-    candidate model.  Under the data-generating model E[Y] = 1; a mismatched
-    model inflates it.
-    """
-    return cost_ratio(*prediction_error_terms(cond, delivered_idx, delivered_vals))
 
 
 def softmax_probs(state: BanditState) -> np.ndarray:

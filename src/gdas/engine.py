@@ -10,11 +10,12 @@ conditional variance.  The largest score gives the smallest next-round MSE.
 Scores come straight from the covariance, so selection never looks at
 observed values (or at the hidden ground truth).
 
-One run is a ``SensingState``; the runs of a lockstep block share one
-``PosteriorStack`` that holds every run's posterior under every model.
-``initial_state``, ``select_nodes`` and ``ingest`` take either: on a stack,
-selection reads the chosen model's posterior of each run in place, and
-ingest folds each run's deliveries into all of its models at once.
+The runs of a lockstep block share one ``PosteriorStack`` that holds every
+run's posterior under every model: selection reads the chosen model's
+posterior of each run in place, and ingest folds each run's deliveries into
+all of its models at once.  One run on its own is a ``SensingState``, a view
+of run 0 of a one-model stack; ``select_nodes`` and ``ingest`` unwrap it on
+entry and run the same body.
 """
 
 from __future__ import annotations
@@ -41,34 +42,32 @@ TIE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class SensingState:
-    """One run's view of the collection process.
+    """One run's view of the collection process: run 0 of the one-model
+    ``post``, whose target (if any) only scores the estimate; selection
+    reads nothing but the posterior."""
 
-    ``target`` is the hidden realization used only to score the estimate;
-    selection logic reads nothing but ``cond``.
-    """
+    post: PosteriorStack
 
-    cond: ConditionalState
-    target: np.ndarray | None
+    @property
+    def cond(self) -> ConditionalState:
+        return self.post.cond(0)
 
     @property
     def mse_theory(self) -> float:
-        return float(np.trace(self.cond.cond_cov))
+        return self.post.mse_theory(0)
 
     @property
     def sqerr_actual(self) -> float:
-        """Squared error of the conditional mean against ``target`` (nan without one)."""
-        if self.target is None:
-            return float("nan")
-        u = self.target[self.cond.unknown_idx - 1]
-        return float(np.sum((u - self.cond.cond_mean) ** 2))
+        """Squared error of the conditional mean against the target (nan without one)."""
+        return self.post.sqerr_actual(0)
 
     @property
     def known_count(self) -> int:
-        return len(self.cond.known_idx)
+        return self.post.K - self.post.unknown[0]
 
     @property
     def unknown_count(self) -> int:
-        return self.cond.num_unknown
+        return self.post.unknown[0]
 
 
 def initial_state(
@@ -76,19 +75,20 @@ def initial_state(
 ) -> SensingState | PosteriorStack:
     """Round-zero state: nothing observed yet.
 
-    Given a sequence of models and a (B, K) ``target`` (one realization per
-    run), the state of a block of B runs: a ``PosteriorStack`` holding every
-    run's prior under every model.
+    Given one model and an optional (K,) ``target``, one run's
+    ``SensingState``.  Given a sequence of models and a (B, K) ``target``
+    (one realization per run), the state of a block of B runs: a
+    ``PosteriorStack`` holding every run's prior under every model.
     """
-    if not isinstance(model, GaussianModel):
-        target = np.asarray(target, dtype=float)
-        priors = [condition(m, [], []) for m in model]
-        return PosteriorStack(priors, target)
+    single = isinstance(model, GaussianModel)
+    models = [model] if single else model
     if target is not None:
         target = np.asarray(target, dtype=float)
-        if target.shape != (model.K,):
+        if single and target.shape != (model.K,):
             raise ValueError(f"target must have shape ({model.K},)")
-    return SensingState(condition(model, [], []), target)
+        target = target[None] if single else target
+    post = PosteriorStack([condition(m, [], []) for m in models], target)
+    return SensingState(post) if single else post
 
 
 def _greedy(
@@ -183,10 +183,10 @@ def select_nodes(
     best first-step scores (its first pick is greedy's) and is kept as a
     comparison switch.
 
-    ``state`` may also be a ``PosteriorStack``, whose runs ``runs``
-    (default: all) pick under their models ``arms`` (positions in the
-    stack's model list, default 0); ``q`` is then a shared count or one
-    count per run, and the result holds one pick list per run.  Each run
+    A ``SensingState`` gets one pick list.  On a ``PosteriorStack`` the
+    runs ``runs`` (default: all) pick under their models ``arms`` (positions
+    in the stack's model list, default 0); ``q`` is then a shared count or
+    one count per run, and the result holds one pick list per run.  Each run
     gets the picks it would get alone: a stack shares numpy calls, not
     data.  Scores may differ in the last bits, which matters only for a
     near-tie at the edge of ``TIE_TOLERANCE``, or once ``greedy`` has
@@ -195,17 +195,13 @@ def select_nodes(
     """
     if rule not in ("greedy", "topq"):
         raise ValueError(f"unknown selection rule: {rule!r}")
-    if isinstance(state, PosteriorStack):
-        rows = np.arange(len(state.unknown)) if runs is None else np.asarray(runs, dtype=np.int64)
-        arms = np.zeros_like(rows) if arms is None else np.asarray(arms, dtype=np.int64)
-        qs = _counts(q, rows.shape[0])
-        counts = [min(v, state.unknown[b]) for v, b in zip(qs, rows.tolist())]
-        S = state.cov[rows, arms]
-        return _greedy(S, state.labels[rows], counts, rescore=rule == "greedy")
-    cond = state.cond
-    (q,) = _counts(q, 1)
-    count = min(q, cond.num_unknown)
-    return _greedy(cond.cond_cov[None], cond.unknown_idx[None], [count], rule == "greedy")[0]
+    post = state.post if isinstance(state, SensingState) else state
+    rows = np.arange(len(post.unknown)) if runs is None else np.asarray(runs, dtype=np.int64)
+    arms = np.zeros_like(rows) if arms is None else np.asarray(arms, dtype=np.int64)
+    qs = _counts(q, rows.shape[0])
+    counts = [min(v, post.unknown[b]) for v, b in zip(qs, rows.tolist())]
+    picks = _greedy(post.cov[rows, arms], post.labels[rows], counts, rescore=rule == "greedy")
+    return picks if post is state else picks[0]
 
 
 def _counts(q: int | Sequence[int], n: int) -> list[int]:
@@ -224,33 +220,28 @@ def ingest(
 
     Nodes are conditioned one at a time (ascending label) through the
     rank-one update; near-deterministic nodes are absorbed without a
-    covariance update.  An empty delivery returns ``state`` itself.
+    covariance update.  The state is updated in place and returned.
 
-    On a ``PosteriorStack``, ``delivered`` maps each run still in play to
-    its deliveries (possibly none), which are folded into all of the run's
-    models in place; runs left out have finished and are dropped when the
-    stack is next compacted.  The stack is returned.
+    For a ``SensingState``, ``delivered`` maps node labels to values.  On a
+    ``PosteriorStack`` it maps each run still in play to its deliveries
+    (possibly none), which are folded into all of the run's models; runs
+    left out have finished and are dropped when the stack is next compacted.
     """
-    if isinstance(state, PosteriorStack):
-        for run, payload in delivered.items():
-            if payload:
-                nodes = sorted(payload)
-                rank_one_condition(
-                    state,
-                    nodes,
-                    [float(payload[n]) for n in nodes],
-                    absorb_degenerate=True,
-                    run=run,
-                )
-        state.compact(list(delivered))
-        return state
-    if not delivered:
-        return state
-    nodes = sorted(delivered)
-    cond = rank_one_condition(
-        state.cond, nodes, [float(delivered[n]) for n in nodes], absorb_degenerate=True
-    )
-    return SensingState(cond, state.target)
+    post = state
+    if isinstance(state, SensingState):
+        post, delivered = state.post, {0: delivered}
+    for run, payload in delivered.items():
+        if payload:
+            nodes = sorted(payload)
+            rank_one_condition(
+                post,
+                nodes,
+                [float(payload[n]) for n in nodes],
+                absorb_degenerate=True,
+                run=run,
+            )
+    post.compact(list(delivered))
+    return state
 
 
 def polling_order(model: GaussianModel) -> list[int]:

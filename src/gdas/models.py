@@ -2,10 +2,11 @@
 
 Nodes carry global labels 1..K everywhere in the public API.  A
 ``GaussianModel`` holds the joint mean vector and covariance matrix of the K
-scalar node measurements; a ``ConditionalState`` holds the exact posterior of
-the still-unknown nodes given every observation made so far, and a
-``PosteriorStack`` holds the posteriors of a block of runs under several
-models at once, updated in place.
+scalar node measurements.  A ``PosteriorStack`` holds the working posteriors
+of a block of runs under several models at once, updated in place, and logs
+each run's observations; a ``ConditionalState`` is one exact posterior of
+the still-unknown nodes given the observations made so far, as
+``condition`` returns it and ``PosteriorStack.cond`` reads it off a stack.
 
 Two conditioning paths are provided and must agree:
 
@@ -14,7 +15,7 @@ Two conditioning paths are provided and must agree:
 * ``rank_one_condition`` folds in one observation at a time with an
   O(L^2) covariance downdate.  It is one kernel over a stack of posteriors:
   the round loop folds each run's deliveries into all of its models in
-  place, and a ``ConditionalState`` goes through it as a stack of one.
+  place, and a ``ConditionalState`` is copied into a stack of one on entry.
 """
 
 from __future__ import annotations
@@ -122,29 +123,6 @@ class ConditionalState:
         object.__setattr__(self, "unknown_idx", unknown_idx)
         object.__setattr__(self, "cond_mean", cond_mean)
         object.__setattr__(self, "cond_cov", cond_cov)
-
-    @property
-    def num_unknown(self) -> int:
-        return self.unknown_idx.shape[0]
-
-    def unknown_positions(self, nodes: Sequence[int]) -> np.ndarray:
-        """Positions of ``nodes`` inside the unknown subvector.
-
-        Raises ``ValueError`` when a label is already observed, outside 1..K
-        or not an integer.
-        """
-        nodes = as_integers(nodes)
-        pos = self.unknown_idx.searchsorted(nodes)
-        if self.unknown_idx.shape[0]:
-            found = self.unknown_idx.take(pos, mode="clip") == nodes
-        else:
-            found = np.zeros(nodes.shape, dtype=bool)
-        if not found.all():
-            raise ValueError(
-                f"node {int(nodes[~found][0])} is not in the unknown set "
-                "(already observed or not a valid label)"
-            )
-        return pos
 
 
 def _first_nonpd_order(a: np.ndarray) -> int:
@@ -277,30 +255,42 @@ class PosteriorStack:
     0 and zero rows, columns and means.  A run's nonzero labels ascend, so its
     unknown set reads off in label order.  ``where[b, k]`` is the column of
     node k in run b (-1 once observed), ``unknown[b]`` the run's unknown
-    count and ``targets`` (B, K) the hidden realizations that
-    ``sqerr_actual`` scores against.
+    count, ``observed[b]`` and ``observed_vals[b]`` the labels and values it
+    has observed, in order, and ``targets`` (B, K) the hidden realizations
+    that ``sqerr_actual`` scores against.
+
+    Every run starts from the priors, which must share one unknown set; its
+    log starts with the first prior's observations.  Without ``targets`` the
+    stack holds one run and ``sqerr_actual`` is nan.
     """
 
-    def __init__(self, priors: Sequence[ConditionalState], targets: np.ndarray):
-        labels = priors[0].unknown_idx
-        if any(not np.array_equal(p.unknown_idx, labels) for p in priors):
+    def __init__(self, priors: Sequence[ConditionalState], targets: np.ndarray | None = None):
+        first = priors[0]
+        labels = first.unknown_idx
+        if any(not np.array_equal(p.unknown_idx, labels) for p in priors[1:]):
             raise ValueError("the priors of a stack must share one unknown set")
         n = labels.shape[0]
-        runs = targets.shape[0]
-        self.K = n + len(priors[0].known_idx)
+        runs = 1 if targets is None else targets.shape[0]
+        self.K = n + len(first.known_idx)
         self.cov = np.empty((runs, len(priors), n, n))
-        self.cov[:] = np.stack([p.cond_cov for p in priors])
         self.mean = np.empty((runs, len(priors), n))
-        self.mean[:] = np.stack([p.cond_mean for p in priors])
-        self.labels = np.tile(labels, (runs, 1))
+        for m, p in enumerate(priors):
+            self.cov[:, m] = p.cond_cov
+            self.mean[:, m] = p.cond_mean
+        self.labels = labels[None].repeat(runs, axis=0)
         self.where = np.full((runs, self.K + 2), -1, dtype=np.int64)
         self.where[:, labels] = np.arange(n)
         self.unknown = [n] * runs
+        self.observed = [list(first.known_idx) for _ in range(runs)]
+        self.observed_vals = [first.known_vals.tolist() for _ in range(runs)]
         self.targets = targets
 
     def positions(self, run: int, nodes: Sequence[int]) -> np.ndarray:
-        """Columns of ``nodes`` in ``run``; the same errors as
-        ``ConditionalState.unknown_positions``."""
+        """Columns of ``nodes`` in ``run``.
+
+        Raises ``ValueError`` when a label is already observed, outside 1..K
+        or not an integer.
+        """
         nodes = as_integers(nodes)
         # Labels outside 1..K clip onto the -1 sentinels in columns 0 and K+1.
         pos = self.where[run].take(nodes, mode="clip")
@@ -315,21 +305,36 @@ class PosteriorStack:
         """The columns of ``run``'s unknown nodes, in ascending label order."""
         return self.labels[run].nonzero()[0]
 
+    def cond(self, run: int = 0, arm: int = 0) -> ConditionalState:
+        """``run``'s posterior under its model ``arm``, copied out compact."""
+        cols = self.columns(run)
+        return ConditionalState(
+            tuple(self.observed[run]),
+            np.array(self.observed_vals[run], dtype=float),
+            self.labels[run, cols],
+            self.mean[run, arm, cols],
+            self.cov[run, arm].take(cols, axis=0).take(cols, axis=1),
+        )
+
     def mse_theory(self, run: int, arm: int = 0) -> float:
         """Trace of ``run``'s posterior covariance under its model ``arm``."""
         return float(self.cov[run, arm].diagonal()[self.columns(run)].sum())
 
     def sqerr_actual(self, run: int, arm: int = 0) -> float:
         """Squared error of ``run``'s posterior mean under its model ``arm``
-        against the run's target."""
+        against the run's target (nan without targets)."""
+        if self.targets is None:
+            return float("nan")
         cols = self.columns(run)
         u = self.targets[run, self.labels[run, cols] - 1]
         return float(((u - self.mean[run, arm, cols]) ** 2).sum())
 
-    def _observe(self, run: int, pos: np.ndarray) -> None:
+    def _observe(self, run: int, pos: np.ndarray, labels: list[int], values: list[float]) -> None:
         self.where[run, self.labels[run, pos]] = -1
         self.labels[run, pos] = 0
         self.unknown[run] -= pos.shape[0]
+        self.observed[run] += labels
+        self.observed_vals[run] += values
 
     def compact(self, runs: Sequence[int]) -> None:
         """Keep only ``runs``, gathered to the narrowest width that holds them,
@@ -382,8 +387,8 @@ def rank_one_condition(
 
     A ``PosteriorStack`` is updated in place: the observations are folded
     into every model of its run ``run``, and the stack is returned.  A
-    ``ConditionalState`` is folded as a stack of one, and the result is a
-    new, compact ``ConditionalState``.
+    ``ConditionalState`` is copied into a stack of one, and the result is
+    that stack's new, compact ``ConditionalState``.
 
     Raises ``DegenerateVarianceError`` when nu_l is below
     ``DEGENERATE_VARIANCE_EPS``: the node is already determined.  With
@@ -392,6 +397,7 @@ def rank_one_condition(
     it carries no new information about the others, so this equals
     conditioning it at its conditional mean.
     """
+    post = PosteriorStack([state]) if isinstance(state, ConditionalState) else state
     nodes = np.atleast_1d(as_integers(node))
     values = np.atleast_1d(np.asarray(value, dtype=float))
     if nodes.shape != values.shape or nodes.ndim != 1:
@@ -399,25 +405,11 @@ def rank_one_condition(
     labels = nodes.tolist()
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate node labels")
-    if isinstance(state, PosteriorStack):
-        pos = state.positions(run, nodes)
-        _fold(state.cov[run], state.mean[run], pos, values.tolist(), labels, absorb_degenerate)
-        state._observe(run, pos)
-        return state
-    pos = state.unknown_positions(nodes)
-    cov = np.array(state.cond_cov)[None]
-    mean = np.array(state.cond_mean)[None]
-    _fold(cov, mean, pos, values.tolist(), labels, absorb_degenerate)
-    keep = np.ones(state.num_unknown, dtype=bool)
-    keep[pos] = False
-    keep = np.flatnonzero(keep)
-    return ConditionalState(
-        state.known_idx + tuple(labels),
-        np.concatenate((state.known_vals, values)),
-        state.unknown_idx[keep],
-        mean[0, keep],
-        cov[0].take(keep, axis=0).take(keep, axis=1),
-    )
+    pos = post.positions(run, nodes)
+    vals = values.tolist()
+    _fold(post.cov[run], post.mean[run], pos, vals, labels, absorb_degenerate)
+    post._observe(run, pos, labels, vals)
+    return post if post is state else post.cond(run)
 
 
 def build_ar1_model(K: int, rho: float) -> GaussianModel:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .access import aloha_round, expected_successes, stop_round_moments
-from .bandit import round_cost_from_state, softmax_probs, new_bandit_state, update
+from .bandit import cost_ratio, new_bandit_state, prediction_error_terms, softmax_probs, update
 from .engine import ingest, initial_state, polling_order, select_nodes
 from .experiments import BanditResult, RunResult, SweepPoint, SweepResult
 from .experiments import run_bandit_scenario, run_scenario, sweep
@@ -457,19 +457,20 @@ def check_bandit_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         for _ in range(10):
             x = model.mean + chol @ rng.standard_normal(100)
             cond = condition(model, known, [float(x[n - 1]) for n in known])
-            total += round_cost_from_state(cond, delivered, [float(x[n - 1]) for n in delivered])
+            vals = [float(x[n - 1]) for n in delivered]
+            total += cost_ratio(*prediction_error_terms(cond, delivered, vals))
             n_samples += 1
     mean_cost = total / n_samples
-    centre, tol = 1, 0.05
-    cost_ok = abs(mean_cost - centre) <= tol
+    gap = abs(mean_cost - 1)
+    cost_ok, cost_text = _bound(
+        f"true-model mean cost {mean_cost:.4f}, |cost - 1| {gap:.4f}", gap, "<=", 0.05
+    )
 
     detail = (
         f"tau=1: true model {'does not lead' if lead_bad else 'strictly leads'} rounds "
         f"{min(leads)}..{max(leads)} (min gap {min(leads.values()):.3f}); tau=20: selection "
         f"frequency {'outside' if band_bad else 'in'} {UNIFORM_FREQ}+-{UNIFORM_TOL} "
-        f"(range {min(band):.3f}..{max(band):.3f}); "
-        f"true-model mean cost {mean_cost:.4f} {'in' if cost_ok else 'outside'} "
-        f"{centre}+-{tol} over {n_samples} samples"
+        f"(range {min(band):.3f}..{max(band):.3f}); {cost_text} over {n_samples} samples"
     )
     return not lead_bad and not band_bad and cost_ok, _stating(detail, lead_bad + band_bad)
 

@@ -19,7 +19,6 @@ from gdas.access import (
     mean_rounds_bound,
     optimal_q,
     polling_round,
-    sample_upload_success,
     stop_round_moments,
     uploading_probability,
 )
@@ -52,7 +51,10 @@ class TestUploadingProbability:
 
     def test_physical_sampling_matches_closed_form(self, rng):
         snr_threshold, snr_avg, availability = 1.5, 2.5, 0.8
-        hits = sample_upload_success(snr_threshold, snr_avg, availability, rng, size=200_000)
+        # The physical model: an exponential channel gain clears the
+        # threshold and the node has a measurement, independently.
+        gain = rng.exponential(scale=snr_avg, size=200_000)
+        hits = (gain >= snr_threshold) & (rng.random(gain.size) < availability)
         want = uploading_probability(snr_threshold, snr_avg, availability)
         se = math.sqrt(want * (1 - want) / hits.size)
         assert abs(hits.mean() - want) < 4 * se

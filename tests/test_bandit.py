@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gdas.bandit import (
+    cost_ratio,
     new_bandit_state,
     prediction_error_terms,
-    round_cost_from_state,
     select_model,
     softmax_probs,
     update,
@@ -32,9 +32,9 @@ class TestRoundCost:
         x = rng.normal(size=6)
         known = [2, 4]
         cond = condition(model, known, [x[1], x[3]])
-        pos = cond.unknown_positions([5])[0]
+        pos = list(cond.unknown_idx).index(5)
         want = (x[4] - cond.cond_mean[pos]) ** 2 / cond.cond_cov[pos, pos]
-        got = round_cost_from_state(cond, [5], [x[4]])
+        got = cost_ratio(*prediction_error_terms(cond, [5], [x[4]]))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_mean_is_one_under_the_true_model(self, rng):
@@ -50,7 +50,8 @@ class TestRoundCost:
             for _ in range(10):
                 x = model.mean + chol @ rng.standard_normal(30)
                 cond = condition(model, known, [x[v - 1] for v in known])
-                total += round_cost_from_state(cond, delivered, [x[v - 1] for v in delivered])
+                vals = [x[v - 1] for v in delivered]
+                total += cost_ratio(*prediction_error_terms(cond, delivered, vals))
                 n += 1
         assert total / n == pytest.approx(1.0, abs=0.1)
 
@@ -66,14 +67,15 @@ class TestRoundCost:
             known = [int(v) for v in perm[:10]]
             delivered = [int(v) for v in perm[10:12]]
             cond = condition(wrong, known, [x[v - 1] for v in known])
-            total += round_cost_from_state(cond, delivered, [x[v - 1] for v in delivered])
+            vals = [x[v - 1] for v in delivered]
+            total += cost_ratio(*prediction_error_terms(cond, delivered, vals))
             n += 1
         assert total / n > 1.15
 
     def test_empty_delivery_rejected(self, rng):
         model = random_psd_model(rng, 4)
         with pytest.raises(ValueError, match="at least one"):
-            round_cost_from_state(condition(model, [], []), [], [])
+            prediction_error_terms(condition(model, [], []), [], [])
 
     def test_non_integer_label_rejected(self):
         cond = condition(build_ar1_model(4, 0.9), [], [])
@@ -83,7 +85,7 @@ class TestRoundCost:
     def test_degenerate_model_rejected(self):
         model = GaussianModel(mean=np.zeros(3), cov=np.zeros((3, 3)))
         with pytest.raises(NumericalDegeneracyError, match="zero conditional variance"):
-            round_cost_from_state(condition(model, [], []), [1], [0.5])
+            cost_ratio(*prediction_error_terms(condition(model, [], []), [1], [0.5]))
 
 
 class TestSoftmaxProbs:

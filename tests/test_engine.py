@@ -226,6 +226,26 @@ class TestIngest:
         assert st.mse_theory == pytest.approx(0.0, abs=1e-12)
         assert st.sqerr_actual == pytest.approx(0.0, abs=1e-12)
         assert st.unknown_count == 0
+        # Without a target there is nothing to score, also once all is known.
+        blind = initial_state(model)
+        ingest(blind, {n: x[n - 1] for n in range(1, 7)})
+        assert blind.unknown_count == 0
+        assert np.isnan(blind.sqerr_actual)
+
+    def test_updates_the_state_in_place(self, rng):
+        model = random_psd_model(rng, 7)
+        x = rng.normal(size=7)
+        st = initial_state(model, x)
+        for batch in ({4: x[3], 1: x[0]}, {}, {6: x[5]}):
+            assert ingest(st, batch) is st
+        cond = st.cond
+        assert cond.known_idx == (1, 4, 6)
+        assert (st.known_count, st.unknown_count) == (3, 4)
+        oracle = condition(model, cond.known_idx, cond.known_vals)
+        np.testing.assert_array_equal(cond.unknown_idx, oracle.unknown_idx)
+        np.testing.assert_allclose(cond.cond_mean, oracle.cond_mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(cond.cond_cov, oracle.cond_cov, rtol=0, atol=1e-10)
+        assert st.mse_theory == pytest.approx(float(np.trace(oracle.cond_cov)), abs=1e-10)
 
     def test_single_delivery_two_node_example(self):
         model = build_ar1_model(2, 0.95)

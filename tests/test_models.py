@@ -125,7 +125,7 @@ class TestRankOneCondition:
         model = build_ar1_model(2, 0.5)
         state = condition(model, [1], [0.0])
         state = rank_one_condition(state, 2, 1.0)
-        assert state.num_unknown == 0
+        assert state.unknown_idx.shape == (0,)
         assert state.cond_cov.shape == (0, 0)
         assert state.known_idx == (1, 2)
 
@@ -166,7 +166,7 @@ class TestRankOneCondition:
         with pytest.raises(DegenerateVarianceError):
             rank_one_condition(state, 2, 0.3)
         dropped = rank_one_condition(state, 2, 0.3, absorb_degenerate=True)
-        assert dropped.num_unknown == 0
+        assert dropped.unknown_idx.shape == (0,)
         assert dropped.known_idx == (1, 2)
 
     def test_unknown_node_label_rejected(self):
@@ -270,10 +270,11 @@ class TestOracleAccuracy:
     def test_stack_equals_oracle_on_random_delivery_slots(self, data):
         """The block path: each round folds random delivery slots of several
         runs into one ``PosteriorStack``, which compacts as runs narrow or
-        leave.  Every run's posterior under every model equals its own
-        ``rank_one_condition`` chain bit for bit and ``condition`` within
-        1e-9 * scale.  Near rank-3 family models absorb degenerate nodes
-        (so ``condition``, which uses the values, is not their reference)."""
+        leave.  Every run's posterior under every model, and its compact
+        ``cond`` view, equals its own ``rank_one_condition`` chain bit for
+        bit and ``condition`` within 1e-9 * scale.  Near rank-3 family models
+        absorb degenerate nodes (so ``condition``, which uses the values, is
+        not their reference)."""
         k = data.draw(st.integers(7, 200), label="K")
         runs = data.draw(st.integers(1, 4), label="runs")
         near_singular = data.draw(st.booleans(), label="near_singular")
@@ -309,6 +310,12 @@ class TestOracleAccuracy:
                     np.testing.assert_array_equal(post.mean[b, a, cols], chain.cond_mean)
                     np.testing.assert_array_equal(post.cov[b, a][np.ix_(cols, cols)], chain.cond_cov)
                     assert post.mse_theory(b, a) == float(np.trace(chain.cond_cov))
+                    view = post.cond(b, a)
+                    assert view.known_idx == chain.known_idx
+                    np.testing.assert_array_equal(view.known_vals, chain.known_vals)
+                    np.testing.assert_array_equal(view.unknown_idx, chain.unknown_idx)
+                    np.testing.assert_array_equal(view.cond_mean, chain.cond_mean)
+                    np.testing.assert_array_equal(view.cond_cov, chain.cond_cov)
                     skipped = post.labels[b] == 0
                     assert not post.cov[b, a][skipped].any()
                     assert not post.cov[b, a][:, skipped].any()
