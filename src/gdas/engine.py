@@ -104,67 +104,113 @@ def _greedy(
     ``rescore`` false (the ``topq`` rule) a pick only masks its node, so the
     picks rank the first-step scores.
 
-    After k picks the Schur complement is ``S - L^T L``, the rows of ``L``
-    being the scaled pivot columns, so ``S`` is never downdated: the squared
-    column norms ``colsq`` and the variances ``diag`` follow each pick by a
-    rank-one update that costs one matrix-vector product per run (pivoted
-    Cholesky; Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 2012).
-    Picked and skipped nodes carry ``colsq = -inf``.  A pick whose variance
-    is at most ``DEGENERATE_VARIANCE_EPS`` updates nothing; its row and
-    column are just dropped (from a copy: ``S`` may be a caller's array).
-    The last pick needs no update.
+    After k picks the Schur complement is ``S - L^T L``, the rows of the
+    (B, k, n) factor ``L`` being the scaled pivot columns, so ``S`` is never
+    downdated: the squared column norms ``colsq`` and the variances ``diag``
+    follow each pick by a rank-one update that costs one matrix-vector
+    product per run (pivoted Cholesky; Harbrecht, Peters and Schneider,
+    Appl. Numer. Math. 62, 2012).  ``L`` is pick-major, so each product with
+    it runs over rows of length n.  The pivot's column of the complement is
+    its row of ``S``, one gather from a flat (B * n)-row view at
+    ``b * n + l``, minus ``L^T`` times column l of ``L``.  Reading the row is
+    exact: every ``S`` here is exactly symmetric (``PosteriorStack``
+    symmetrizes its priors, and its downdates and compaction keep that).
+    Picked and skipped nodes carry ``colsq = -inf``.
+
+    A run whose count is used up stops updating: its pivot variance reads
+    as infinite, so its update is zero, and its later picks are discarded.
+    A pick whose variance is at most ``DEGENERATE_VARIANCE_EPS`` updates
+    nothing; its row and column are zeroed in ``S``, which is scratch.  The
+    last pick needs no update.
     """
     B, n = labels.shape
     steps = max(counts, default=0)
     if steps == 0:
         return [[] for _ in range(B)]
-    diag = np.diagonal(S, axis1=1, axis2=2).copy()
-    colsq = np.einsum("bij,bij->bj", S, S)
+    S = np.ascontiguousarray(S)
+    S_rows = S.reshape(B * n, n)
+    # D = (colsq, diag) and VU = (v, u) below, so that D -= VU u updates both.
+    D = np.empty((2, B, n))
+    colsq, diag = D
+    np.einsum("bij,bij->bj", S, S, out=colsq)
+    diag[...] = np.diagonal(S, axis1=1, axis2=2)
     colsq[labels == 0] = -np.inf
+    colsq_flat, diag_flat = colsq.reshape(-1), diag.reshape(-1)
     total = diag.sum(axis=1)
+    VU = np.empty((2, B, n))
+    v, u = VU
+    v_col, u_col = v[:, :, None], u[:, :, None]
     L = np.zeros((B, steps - 1, n))
     rows = np.arange(B)
+    base = rows * n
+    idx = np.empty(B, dtype=np.intp)
+    picks = np.empty((steps, B), dtype=np.intp)
     score = np.empty((B, n))
-    picked = []
-    copied = False
+    score_flat = score.reshape(-1)
+    best = np.empty((B, n), dtype=bool)
+    cut = np.empty((B, 1))
+    tol = np.empty(B)
+    nu = np.empty((B, 1))
+    c = np.empty((B, n))
+    corr = np.empty((B, 1, n))
+    step = np.empty((2, B, n))
+    cut_, nu_, corr_ = cut[:, 0], nu[:, 0], corr[:, 0]
+    last = np.asarray(counts) - 1
+    ragged = bool((last < steps - 1).any())
     for k in range(steps):
         np.maximum(diag, DEGENERATE_VARIANCE_EPS, out=score)
         np.divide(colsq, score, out=score)
-        cut = score.max(axis=1)
-        cut -= TIE_TOLERANCE * np.maximum(total, 1.0)
-        l = (score >= cut[:, None]).argmax(axis=1)
-        picked.append(l)
+        score.max(axis=1, out=cut_)
+        np.maximum(total, 1.0, out=tol)
+        tol *= TIE_TOLERANCE
+        cut_ -= tol
+        np.greater_equal(score, cut, out=best)
+        l = best.argmax(axis=1, out=picks[k])
         if k == steps - 1:
             break
+        # idx is always in range; mode="clip" lets take fill out= directly,
+        # where the default mode first copies into a temporary.
+        np.add(base, l, out=idx)
         if not rescore:
-            colsq[rows, l] = -np.inf
+            colsq_flat[idx] = -np.inf
             continue
-        nu = diag[rows, l]
-        good = nu > DEGENERATE_VARIANCE_EPS
-        Lk = L[:, :k]
-        c = S[rows, :, l]
-        c -= (Lk[rows, :, l][:, None, :] @ Lk)[:, 0]
-        u = c / np.sqrt(np.where(good, nu, np.inf))[:, None]
-        # Column norms of the complement minus u u^T, with v = (S - Lk^T Lk) u:
-        # colsq_j -= u_j (2 v_j - u_j |u|^2).
-        w = u[:, :, None]
-        v = (S @ w)[:, :, 0]
-        v -= ((Lk @ w).transpose(0, 2, 1) @ Lk)[:, 0]
-        v *= 2.0
-        v -= u * np.einsum("bi,bi->b", u, u)[:, None]
-        colsq -= u * v
-        colsq[rows, l] = -np.inf
-        diag -= u * u
-        total -= np.where(good, score[rows, l], nu)
+        diag_flat.take(idx, out=nu_, mode="clip")
+        if ragged:
+            nu[last <= k] = np.inf
+        gain = score_flat.take(idx, mode="clip")
+        bad = None
+        if not nu.min() > DEGENERATE_VARIANCE_EPS:
+            bad = np.flatnonzero(~(nu_ > DEGENERATE_VARIANCE_EPS))
+            gain[bad] = nu_[bad]
+            nu[bad] = np.inf
+        total -= gain
+        np.sqrt(nu, out=nu)
+        S_rows.take(idx, axis=0, out=c, mode="clip")
+        if k:
+            np.matmul(L[rows, None, :k, l], L[:, :k], out=corr)
+            c -= corr_
+        np.divide(c, nu, out=u)
         L[:, k] = u
-        if not good.all():
-            if not copied:
-                S, copied = S.copy(), True
-            for b in np.flatnonzero(~good):
+        # Column norms of the complement minus u u^T: colsq_j -= u_j v_j with
+        # v = 2 (S - L^T L) u - u |u|^2.  Row k of L is now u, so the last
+        # entry of t = L[:k+1] u is |u|^2; halving it folds the u |u|^2 term
+        # into the one product L[:k+1]^T t.
+        Lu = L[:, : k + 1]
+        np.matmul(S, u_col, out=v_col)
+        t = Lu @ u_col
+        t[:, k] *= 0.5
+        np.matmul(t.transpose(0, 2, 1), Lu, out=corr)
+        v -= corr_
+        v *= 2.0
+        np.multiply(VU, u, out=step)
+        D -= step
+        colsq_flat[idx] = -np.inf
+        if bad is not None:
+            for b in bad.tolist():
                 colsq[b] -= c[b] * c[b]
                 S[b, l[b], :] = S[b, :, l[b]] = L[b, :, l[b]] = 0.0
-    picks = np.stack(picked, axis=1)
-    return [labels[b, picks[b, : counts[b]]].tolist() for b in range(B)]
+    chosen = np.take_along_axis(labels, picks.T, axis=1)
+    return [chosen[b, : counts[b]].tolist() for b in range(B)]
 
 
 def select_nodes(
@@ -250,4 +296,5 @@ def polling_order(model: GaussianModel) -> list[int]:
     Depends only on the covariance, so it can be fixed before any value is
     seen and is identical for every realization.
     """
-    return _greedy(model.cov[None], np.arange(1, model.K + 1)[None], [model.K])[0]
+    post = initial_state(model).post
+    return _greedy(post.cov[:, 0], post.labels, [model.K])[0]

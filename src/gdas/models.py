@@ -261,7 +261,10 @@ class PosteriorStack:
 
     Every run starts from the priors, which must share one unknown set; its
     log starts with the first prior's observations.  Without ``targets`` the
-    stack holds one run and ``sqerr_actual`` is nan.
+    stack holds one run and ``sqerr_actual`` is nan.  Each prior covariance C
+    is stored as ``0.5 * (C + C^T)`` (a bitwise no-op when C is exactly
+    symmetric), and the downdates and compaction keep every posterior
+    exactly symmetric, which greedy selection relies on.
     """
 
     def __init__(self, priors: Sequence[ConditionalState], targets: np.ndarray | None = None):
@@ -275,7 +278,9 @@ class PosteriorStack:
         self.cov = np.empty((runs, len(priors), n, n))
         self.mean = np.empty((runs, len(priors), n))
         for m, p in enumerate(priors):
-            self.cov[:, m] = p.cond_cov
+            np.add(p.cond_cov, p.cond_cov.T, out=self.cov[0, m])
+            self.cov[0, m] *= 0.5
+            self.cov[1:, m] = self.cov[0, m]
             self.mean[:, m] = p.cond_mean
         self.labels = labels[None].repeat(runs, axis=0)
         self.where = np.full((runs, self.K + 2), -1, dtype=np.int64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .access import aloha_round, expected_successes, stop_round_moments
+from .access import aloha_round, delivered_law, expected_successes, stop_round_moments
 from .bandit import cost_ratio, new_bandit_state, prediction_error_terms, softmax_probs, update
 from .engine import ingest, initial_state, polling_order, select_nodes
 from .experiments import BanditResult, RunResult, SweepPoint, SweepResult
@@ -143,19 +143,31 @@ def check_round_counts(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 @_check("2 throughput-formula")
 def check_throughput(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """ALOHA per-round deliveries vs the closed form: Q=20, N=4, p=0.2, 1e5 rounds."""
+    """ALOHA per-round deliveries vs the closed form: Q=20, N=4, p=0.2, 1e5 rounds.
+
+    Beside the window, the z-score of the empirical mean under the exact law
+    of a round's deliveries (``delivered_law``), in standard errors of the
+    mean over the rounds.
+    """
+    q, n_channels, p, rounds = 20, 4, 0.2, 100_000
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    requested = list(range(1, 21))
-    rounds = 100_000
-    total = sum(len(aloha_round(requested, 4, 0.2, rng).delivered) for _ in range(rounds))
+    requested = list(range(1, q + 1))
+    total = sum(len(aloha_round(requested, n_channels, p, rng).delivered) for _ in range(rounds))
     elapsed = time.perf_counter() - started
     mean = total / rounds
-    target = expected_successes("aloha", 4, 0.2, 20)
+    target = expected_successes("aloha", n_channels, p, q)
     rel = abs(mean - target) / target
     close, rel_text = _bound(f"rel {rel:.4f}", rel, "<=", 0.03)
     in_time, time_text = _bound(f"{elapsed:.1f}s", elapsed, "<", 5.0, "s")
-    detail = f"empirical {mean:.4f} vs formula {target:.4f} ({rel_text}); {time_text}"
+    law = delivered_law("aloha", n_channels, p, q)
+    law_mean = sum(j * pr for j, pr in enumerate(law))
+    law_sd = math.sqrt(sum((j - law_mean) ** 2 * pr for j, pr in enumerate(law)))
+    z = (mean - law_mean) / (law_sd / math.sqrt(rounds))
+    detail = (
+        f"empirical {mean:.4f} vs formula {target:.4f} ({rel_text}); "
+        f"law mean {law_mean:.4f}, SD {law_sd:.4f}, z {z:+.2f} over {rounds} rounds; {time_text}"
+    )
     return close and in_time, detail
 
 

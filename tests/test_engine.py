@@ -1,11 +1,19 @@
 """Selection scores, greedy and top-q node choice, ingestion, and the fixed request order."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from gdas.engine import TIE_TOLERANCE, ingest, initial_state, polling_order, select_nodes
-from gdas.models import GaussianModel, build_ar1_model, condition
+from gdas.engine import TIE_TOLERANCE, _greedy, ingest, initial_state, polling_order, select_nodes
+from gdas.models import (
+    DEGENERATE_VARIANCE_EPS,
+    GaussianModel,
+    build_ar1_model,
+    build_model_family,
+    condition,
+)
 
 from conftest import random_psd_model
 
@@ -41,6 +49,51 @@ def band_ranking(costs, mse):
 def brute_force_pick(model, known, vals):
     mse = float(np.trace(condition(model, known, vals).cond_cov))
     return band_ranking(brute_force_costs(model, known, vals), mse)[0]
+
+
+def reference_picks(cov, labels, q):
+    """Greedy picks from an explicit Schur complement, downdated per pick.
+
+    Each pick scores every node still free by ``||C_l||^2 / max(C_ll, eps)``
+    on the current complement C, takes the lowest label within
+    ``TIE_TOLERANCE * max(1, trace C)`` of the best, then conditions C on it
+    (a degenerate pivot's row and column are dropped instead).
+    """
+    C = np.array(cov, dtype=float)
+    free = np.ones(len(labels), dtype=bool)
+    picks = []
+    for _ in range(q):
+        d = np.diag(C)
+        score = np.where(free, (C * C).sum(axis=0) / np.maximum(d, DEGENERATE_VARIANCE_EPS), -np.inf)
+        cut = score.max() - TIE_TOLERANCE * max(1.0, float(np.trace(C)))
+        l = int(np.flatnonzero(score >= cut)[0])
+        picks.append(int(labels[l]))
+        free[l] = False
+        c = C[:, l].copy()
+        if c[l] > DEGENERATE_VARIANCE_EPS:
+            C -= np.outer(c, c) / c[l]
+        else:
+            C[l, :] = C[:, l] = 0.0
+    return picks
+
+
+def played_stack(models, runs, rng, rounds, dropped=()):
+    """A block of ``runs`` runs after ``rounds`` rounds of 9-12 random
+    deliveries each; the runs in ``dropped`` leave the block in round 3,
+    the first whose ingest compacts a K=100 stack."""
+    K = models[0].K
+    x = rng.normal(size=(runs, K))
+    post = initial_state(models, x)
+    for r in range(rounds):
+        slots = {}
+        for b in range(runs):
+            if r >= 2 and b in dropped:
+                continue
+            free = post.labels[b][post.labels[b] > 0]
+            nodes = rng.choice(free, size=int(rng.integers(9, 13)), replace=False)
+            slots[b] = {int(v): float(x[b, v - 1]) for v in nodes}
+        ingest(post, slots)
+    return post
 
 
 class TestSelectionCosts:
@@ -204,10 +257,97 @@ class TestSelectNodes:
         expected = band_ranking(brute_force_costs(model, [], []), st.mse_theory)[:2]
         assert select_nodes(st, 2, rule="topq") == expected == [3, 2]
 
+    def test_asymmetry_within_tolerance_picks_as_the_symmetrized_twin(self, rng):
+        # GaussianModel accepts an asymmetry of up to 1e-12; the stack stores
+        # the symmetric part, so selection, which reads a pivot's column as
+        # its row, sees the twin's covariance bit for bit.
+        base = random_psd_model(rng, 30)
+        skew = rng.normal(size=(30, 30))
+        cov = base.cov + 2e-14 * (skew - skew.T)
+        assert 5e-14 < np.abs(cov - cov.T).max() < 1e-12
+        asym = GaussianModel(mean=base.mean, cov=cov)
+        twin = GaussianModel(mean=base.mean, cov=0.5 * (cov + cov.T))
+        states = [initial_state(asym), initial_state(twin)]
+        np.testing.assert_array_equal(states[0].post.cov, states[1].post.cov)
+        assert select_nodes(states[0], 30) == select_nodes(states[1], 30)
+        assert polling_order(asym) == polling_order(twin)
+
     def test_unknown_rule_rejected(self):
         st = initial_state(build_ar1_model(3, 0.5))
         with pytest.raises(ValueError, match="selection rule"):
             select_nodes(st, 1, rule="best")
+
+
+class TestKernelAtBenchmarkShapes:
+    """``select_nodes`` on played blocks of the benchmark's sizes (masked
+    columns, a compacted stack, ragged counts, runs that left the block)
+    picks what an explicit Schur-complement downdate picks."""
+
+    @pytest.mark.parametrize("q", [4, 20])
+    def test_k100_block_of_19(self, q):
+        rng = np.random.default_rng(100 + q)
+        models = build_model_family(100)
+        post = played_stack(models, 19, rng, rounds=4, dropped=(3, 11))
+        assert post.cov.shape[-1] < 100 and (post.labels[0] == 0).any()
+        qs = [q if b % 3 else int(rng.integers(1, q + 1)) for b in range(19)]
+        arms = rng.integers(0, len(models), size=19)
+        picks = select_nodes(post, qs, arms=arms)
+        assert [len(p) for p in picks] == [min(v, post.unknown[b]) for b, v in enumerate(qs)]
+        assert picks[3] == picks[11] == []
+        for b in range(19):
+            cond = post.cond(b, arms[b])
+            assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, len(picks[b]))
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_k400_q80(self, runs):
+        rng = np.random.default_rng(400 + runs)
+        post = played_stack([build_ar1_model(400, 0.95)], runs, rng, rounds=3)
+        qs = [80, 57][:runs]
+        picks = select_nodes(post, qs)
+        for b in range(runs):
+            cond = post.cond(b)
+            assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, qs[b])
+
+
+class TestKernelEdges:
+    def test_used_up_runs_stop_updating(self):
+        # Run 2 has 3 unknowns left and run 1 wants 4 picks: neither takes
+        # part in the later steps of run 0's 12, and nothing copies S.
+        post = initial_state([build_ar1_model(60, 0.95)], np.zeros((3, 60)))
+        ingest(post, {0: {5: 0.0, 30: 0.0}, 1: {}, 2: {n: 0.0 for n in range(4, 61)}})
+        counts = [12, 4, 3]
+        S = post.cov[:, 0].copy()
+        tracemalloc.start()
+        try:
+            picks = _greedy(S, post.labels, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S.nbytes
+        assert picks == [select_nodes(post, [v], runs=[b])[0] for b, v in enumerate(counts)]
+        assert sorted(picks[2]) == [1, 2, 3]
+
+    def test_degenerate_pick_drops_its_row_and_column(self):
+        # Node 7 is a tiny multiple of the leading eigenvector of nodes 1-6,
+        # with variance 0.99 * DEGENERATE_VARIANCE_EPS: its score is the
+        # highest, so run 0 picks it first, as a degenerate pick that drops
+        # its row and column instead of downdating.  Run 1 has node 7
+        # observed; both then pick the six-node order.
+        ar1 = build_ar1_model(6, 0.8)
+        lam, vec = np.linalg.eigh(ar1.cov)
+        lift = np.vstack([np.eye(6), vec[:, -1] * np.sqrt(0.99 * DEGENERATE_VARIANCE_EPS / lam[-1])])
+        model = GaussianModel(mean=np.zeros(7), cov=lift @ ar1.cov @ lift.T)
+        post = initial_state([model], np.zeros((2, 7)))
+        ingest(post, {0: {}, 1: {7: 0.0}})
+        S = post.cov[:, 0].copy()
+        assert S[0, 6].any()
+        picks = _greedy(S, post.labels, [7, 6])
+        order = select_nodes(initial_state(ar1), 6)
+        assert picks == [[7] + order, order]
+        assert not S[0, 6].any() and not S[0, :, 6].any()
+        for b in range(2):
+            cond = post.cond(b)
+            assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, len(picks[b]))
 
 
 class TestIngest:

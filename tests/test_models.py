@@ -274,7 +274,8 @@ class TestOracleAccuracy:
         ``cond`` view, equals its own ``rank_one_condition`` chain bit for
         bit and ``condition`` within 1e-9 * scale.  Near rank-3 family models
         absorb degenerate nodes (so ``condition``, which uses the values, is
-        not their reference)."""
+        not their reference).  Every posterior of the stack stays exactly
+        symmetric, which greedy selection relies on."""
         k = data.draw(st.integers(7, 200), label="K")
         runs = data.draw(st.integers(1, 4), label="runs")
         near_singular = data.draw(st.booleans(), label="near_singular")
@@ -286,6 +287,7 @@ class TestOracleAccuracy:
         x = np.stack([model_draw(models[0], rng) for _ in range(runs)])
         atol = 1e-9 * max(1.0, float(np.abs(x).max()))
         post = initial_state(models, x)
+        assert np.array_equal(post.cov, post.cov.swapaxes(-1, -2))
         chains = [[condition(model, [], []) for model in models] for _ in range(runs)]
         order = [rng.permutation(k) + 1 for _ in range(runs)]
         done = [0] * runs
@@ -297,6 +299,7 @@ class TestOracleAccuracy:
                 done[b] += nodes.shape[0]
                 slots[b] = {int(v): float(x[b, v - 1]) for v in rng.permutation(nodes)}
             ingest(post, slots)
+            assert np.array_equal(post.cov, post.cov.swapaxes(-1, -2))
             for b, payload in slots.items():
                 nodes = sorted(payload)
                 vals = [payload[v] for v in nodes]

@@ -1,11 +1,14 @@
 """Check reports state the comparison that actually holds."""
 
+import math
+import re
 from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 
 import gdas.validate as validate
+from gdas.access import delivered_law
 from gdas.experiments import (
     BANDIT_COLUMNS,
     ROUNDS_COLUMNS,
@@ -157,6 +160,17 @@ def test_throughput_target_is_the_formula():
         res = validate.check_throughput()
     assert not res.passed
     assert "vs formula 1.6000" in res.detail and "> 0.03" in res.detail
+    # Beside the window: the exact law's moments and the z-score of the mean.
+    law = delivered_law("aloha", 4, 0.2, 20)
+    mean = sum(j * pr for j, pr in enumerate(law))
+    var = sum(j * j * pr for j, pr in enumerate(law)) - mean * mean
+    printed = re.search(r"law mean ([\d.]+), SD ([\d.]+), z ([-+][\d.]+) over (\d+) rounds", res.detail)
+    assert printed, res.detail
+    assert printed.group(1) == f"{mean:.4f}" and printed.group(2) == f"{math.sqrt(var):.4f}"
+    empirical = float(re.search(r"empirical ([\d.]+)", res.detail).group(1))
+    # The empirical mean is printed to 4 decimals, 0.016 standard errors.
+    se = math.sqrt(var / int(printed.group(4)))
+    assert abs(float(printed.group(3)) - (empirical - mean) / se) < 0.03
 
 
 def test_bandit_rules_read_the_summary_columns():
