@@ -168,21 +168,18 @@ def stop_round_moments(
     """Exact mean and standard deviation of the round in which ``kbar`` of
     the K measurements have arrived, without a round limit.
 
-    Each round requests ``min(N, unknown)`` nodes under polling and
-    ``optimal_q`` under ALOHA (a random first round requests as many), so
-    the deliveries of a round depend only on the known count k, a Markov
-    chain.  With R_k the rounds still to go from k and J a round's
-    deliveries, R_k = 1 + R_{k+J}; first-step analysis gives its mean m_k
-    and second moment s_k from the larger counts.
+    Each round requests ``request_count`` nodes (a random first round
+    requests as many), so the deliveries of a round depend only on the
+    known count k, a Markov chain.  With R_k the rounds still to go from k
+    and J a round's deliveries, R_k = 1 + R_{k+J}; first-step analysis
+    gives its mean m_k and second moment s_k from the larger counts.
     """
     if not 0 <= kbar <= K:
         raise ValueError(f"kbar must lie in 0..{K}")
     m = [0.0] * (kbar + 1)
     s = [0.0] * (kbar + 1)
     for k in range(kbar - 1, -1, -1):
-        remaining = K - k
-        q = min(n_channels, remaining) if mode == "polling" else optimal_q(n_channels, p, remaining)
-        law = delivered_law(mode, n_channels, p, q)
+        law = delivered_law(mode, n_channels, p, request_count(mode, n_channels, p, K - k))
         ahead = sum(law[j] * m[min(k + j, kbar)] for j in range(1, len(law)))
         m[k] = (1.0 + ahead) / (1.0 - law[0])
         ahead_sq = sum(law[j] * s[min(k + j, kbar)] for j in range(1, len(law)))
@@ -200,6 +197,18 @@ def optimal_q(n_channels: int, p: float, remaining: int) -> int:
         raise ValueError("remaining must be >= 1")
     # Capped before the int conversion: N/p overflows to inf for subnormal p.
     return max(1, int(math.floor(min(n_channels / p + 0.5, remaining))))
+
+
+def request_count(
+    mode: str, n_channels: int, p: float, remaining: int, fixed: int | None = None
+) -> int:
+    """Nodes a round requests with ``remaining`` unknowns (never more): under
+    polling ``fixed`` or N, at most N; otherwise ``fixed``, else ``optimal_q``."""
+    if mode == "polling":
+        return min(fixed or n_channels, n_channels, remaining)
+    if fixed is not None:
+        return min(fixed, remaining)
+    return optimal_q(n_channels, p, remaining)
 
 
 def mean_rounds_bound(

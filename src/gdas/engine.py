@@ -84,8 +84,6 @@ def initial_state(
     models = [model] if single else model
     if target is not None:
         target = np.asarray(target, dtype=float)
-        if single and target.shape != (model.K,):
-            raise ValueError(f"target must have shape ({model.K},)")
         target = target[None] if single else target
     post = PosteriorStack([condition(m, [], []) for m in models], target)
     return SensingState(post) if single else post

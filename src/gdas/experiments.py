@@ -19,8 +19,8 @@ from .access import (
     crossover_check,
     expected_successes,
     mean_rounds_bound,
-    optimal_q,
     polling_round,
+    request_count,
     uploading_probability,
 )
 from .bandit import (
@@ -198,19 +198,6 @@ def _sampler(model: GaussianModel) -> Callable[[np.random.Generator], np.ndarray
     return draw
 
 
-def _round_q(scenario: Scenario, p: float, remaining: int, mode: str | None = None) -> int:
-    """Request count of ``q_policy`` with ``remaining`` unknowns.
-
-    ``mode`` defaults to the scenario's; ``bounds`` asks for both access modes.
-    """
-    fixed = _fixed_q(scenario.q_policy)
-    if (mode or scenario.mode) == "polling":
-        return min(fixed or scenario.N, scenario.N, remaining)
-    if fixed is not None:
-        return min(fixed, remaining)
-    return optimal_q(scenario.N, p, remaining)
-
-
 def _first_request(scenario: Scenario, q: int, rng: np.random.Generator) -> list[int]:
     picked = rng.choice(scenario.K, size=q, replace=False)
     return sorted(int(v) + 1 for v in picked)
@@ -249,8 +236,9 @@ class RunResult:
         """Closed forms at the first round's request count under ``q_policy``."""
         s = self.scenario
         p = s.upload_p
-        polled = _round_q(s, p, s.K, "polling")
-        q = _round_q(s, p, s.K, "aloha")
+        fixed = _fixed_q(s.q_policy)
+        polled = request_count("polling", s.N, p, s.K, fixed)
+        q = request_count("aloha", s.N, p, s.K, fixed)
         return {
             "expected_polling": expected_successes("polling", s.N, p, polled),
             "expected_aloha": expected_successes("aloha", s.N, p, q),
@@ -340,6 +328,7 @@ def _run_block(
     """
     p = scenario.upload_p
     N = scenario.N
+    fixed = _fixed_q(scenario.q_policy)
     kbar = scenario.stop_threshold
     rule = "topq" if scenario.q_policy == "topq" else "greedy"
     access = polling_round if scenario.mode == "polling" else aloha_round
@@ -360,20 +349,17 @@ def _run_block(
     last: list[tuple[int, list[int]] | None] = [None] * len(run_ids)
     active = list(range(len(run_ids)))
     for t in range(scenario.rounds_limit):
-        active = [i for i in active if post.unknown[i]]
         if not active:
             break
         if bandit:
             for i in active:
                 arm[i], probs[i] = _choose_arm(scenario, bsts[i], t, rngs[i])
         if t == 0 and random_start:
-            requests = [
-                _first_request(scenario, _round_q(scenario, p, post.unknown[i]), rngs[i])
-                for i in active
-            ]
+            q = request_count(scenario.mode, N, p, post.K, fixed)
+            requests = [_first_request(scenario, q, rngs[i]) for i in active]
         else:
             stale = [i for i in active if last[i] is None or last[i][0] != arm[i]]
-            qs = [_round_q(scenario, p, post.unknown[i]) for i in stale]
+            qs = [request_count(scenario.mode, N, p, post.unknown[i], fixed) for i in stale]
             arms = [arm[i] - 1 for i in stale]
             for i, picks in zip(stale, select_nodes(post, qs, rule, runs=stale, arms=arms)):
                 last[i] = (arm[i], picks)

@@ -77,6 +77,8 @@ class GaussianModel:
             raise ValueError(
                 f"mean length {mean.shape[0]} does not match cov dimension {cov.shape[0]}"
             )
+        if mean.shape[0] == 0:
+            raise ValueError("a model needs at least one node")
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
             raise ValueError("cov is not symmetric")
@@ -273,8 +275,10 @@ class PosteriorStack:
         if any(not np.array_equal(p.unknown_idx, labels) for p in priors[1:]):
             raise ValueError("the priors of a stack must share one unknown set")
         n = labels.shape[0]
-        runs = 1 if targets is None else targets.shape[0]
         self.K = n + len(first.known_idx)
+        if targets is not None and (targets.shape[1:] != (self.K,) or len(targets) < 1):
+            raise ValueError(f"targets must have shape (runs >= 1, {self.K}), got {targets.shape}")
+        runs = 1 if targets is None else targets.shape[0]
         self.cov = np.empty((runs, len(priors), n, n))
         self.mean = np.empty((runs, len(priors), n))
         for m, p in enumerate(priors):
@@ -293,8 +297,8 @@ class PosteriorStack:
     def positions(self, run: int, nodes: Sequence[int]) -> np.ndarray:
         """Columns of ``nodes`` in ``run``.
 
-        Raises ``ValueError`` when a label is already observed, outside 1..K
-        or not an integer.
+        Raises ``ValueError`` when a label is not an integer, is already
+        observed or outside 1..K, or appears twice.
         """
         nodes = as_integers(nodes)
         # Labels outside 1..K clip onto the -1 sentinels in columns 0 and K+1.
@@ -304,6 +308,8 @@ class PosteriorStack:
                 f"node {int(nodes[pos < 0][0])} is not in the unknown set "
                 "(already observed or not a valid label)"
             )
+        if len(set(pos.ravel().tolist())) != pos.size:
+            raise ValueError("duplicate node labels")
         return pos
 
     def columns(self, run: int) -> np.ndarray:
@@ -403,14 +409,11 @@ def rank_one_condition(
     conditioning it at its conditional mean.
     """
     post = PosteriorStack([state]) if isinstance(state, ConditionalState) else state
-    nodes = np.atleast_1d(as_integers(node))
+    pos = post.positions(run, np.atleast_1d(node))
     values = np.atleast_1d(np.asarray(value, dtype=float))
-    if nodes.shape != values.shape or nodes.ndim != 1:
+    if pos.shape != values.shape or pos.ndim != 1:
         raise ValueError("node and value must have the same length")
-    labels = nodes.tolist()
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate node labels")
-    pos = post.positions(run, nodes)
+    labels = post.labels[run, pos].tolist()
     vals = values.tolist()
     _fold(post.cov[run], post.mean[run], pos, vals, labels, absorb_degenerate)
     post._observe(run, pos, labels, vals)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .access import aloha_round, delivered_law, expected_successes, stop_round_moments
 from .bandit import cost_ratio, new_bandit_state, prediction_error_terms, softmax_probs, update
-from .engine import ingest, initial_state, polling_order, select_nodes
+from .engine import TIE_TOLERANCE, ingest, initial_state, polling_order, select_nodes
 from .experiments import BanditResult, RunResult, SweepPoint, SweepResult
 from .experiments import run_bandit_scenario, run_scenario, sweep
 from .models import GaussianModel, build_ar1_model, condition, rank_one_condition
@@ -74,10 +74,11 @@ def _bound(text: str, value: float, op: str, limit: float, unit: str = "") -> tu
     return holds, f"{text} {op if holds else negated} {shown}{unit}"
 
 
-def _window(text: str, value: float, window: tuple[float, float]) -> str:
+def _window(text: str, value: float, window: tuple[float, float]) -> tuple[bool, str]:
+    """Whether ``value`` lies in ``window``, and ``text`` stating the value in or outside it."""
     lo, hi = window
-    where = "in" if lo <= value <= hi else "outside"
-    return f"{text} {value:.2f} {where} [{lo}, {hi}]"
+    holds = bool(lo <= value <= hi)
+    return holds, f"{text} {value:.2f} {'in' if holds else 'outside'} [{lo}, {hi}]"
 
 
 def _stating(detail: str, problems: list[str]) -> str:
@@ -99,9 +100,9 @@ def rounds_problems(results: dict[str, RunResult]) -> list[str]:
     """The ``rounds`` rule: each mode's mean stop round in its window, no run censored."""
     problems = []
     for label, res in results.items():
-        lo, hi = ROUNDS_WINDOWS[label]
-        if not lo <= res.mean_stop_round <= hi:
-            problems.append(_window(f"{label} mean stop", res.mean_stop_round, (lo, hi)))
+        holds, text = _window(f"{label} mean stop", res.mean_stop_round, ROUNDS_WINDOWS[label])
+        if not holds:
+            problems.append(text)
     censored = sum(res.censored_runs for res in results.values())
     if censored:
         problems.append(f"censored runs {censored}")
@@ -133,7 +134,7 @@ def check_round_counts(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     problems = rounds_problems(results)
     in_time, budget = _bound(f"{elapsed:.1f}s", elapsed, "<", ROUNDS_BUDGET_S, "s")
     parts = [
-        _window(f"{label} mean stop", res.mean_stop_round, ROUNDS_WINDOWS[label])
+        _window(f"{label} mean stop", res.mean_stop_round, ROUNDS_WINDOWS[label])[1]
         + _exact_stop_round(res)
         for label, res in results.items()
     ]
@@ -249,7 +250,7 @@ def _brute_force_best(model: GaussianModel, known: list[int], vals: list[float])
         after = condition(model, known + [node], vals + [0.0])
         traces.append(float(np.trace(after.cond_cov)))
     traces = np.asarray(traces)
-    tol = 1e-9 * max(1.0, float(np.trace(state.cond_cov)))
+    tol = TIE_TOLERANCE * max(1.0, float(np.trace(state.cond_cov)))
     return candidates[int(np.flatnonzero(traces <= traces.min() + tol)[0])]
 
 

@@ -19,6 +19,7 @@ from gdas.access import (
     mean_rounds_bound,
     optimal_q,
     polling_round,
+    request_count,
     stop_round_moments,
     uploading_probability,
 )
@@ -262,6 +263,29 @@ class TestMeanRoundsBound:
     def test_aloha_needs_q(self):
         with pytest.raises(ValueError, match="needs q"):
             mean_rounds_bound("aloha", 10, 4, 0.2)
+
+
+class TestRequestCount:
+    # N = 4 channels, p = 0.2, so optimal_q is 20 with enough unknowns.
+    @pytest.mark.parametrize(
+        "mode, remaining, fixed, q",
+        [
+            ("polling", 100, None, 4),
+            ("polling", 100, 1, 1),
+            ("polling", 100, 9, 4),
+            ("polling", 3, None, 3),
+            ("polling", 3, 9, 3),
+            ("aloha", 100, None, 20),
+            ("aloha", 100, 1, 1),
+            ("aloha", 100, 9, 9),
+            ("aloha", 3, None, 3),
+            ("aloha", 3, 9, 3),
+            ("bandit", 100, None, 20),
+            ("bandit", 100, 9, 9),
+        ],
+    )
+    def test_table(self, mode, remaining, fixed, q):
+        assert request_count(mode, 4, 0.2, remaining, fixed) == q
 
 
 class TestStopRoundMoments:

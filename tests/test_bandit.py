@@ -37,6 +37,12 @@ class TestRoundCost:
         got = cost_ratio(*prediction_error_terms(cond, [5], [x[4]]))
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_repeated_node_rejected(self):
+        # Counted twice, node 3's variance would make an expectation of 2.0.
+        cond = condition(build_ar1_model(6, 0.9), [], [])
+        with pytest.raises(ValueError, match="duplicate"):
+            prediction_error_terms(cond, [3, 3], [0.5, 0.5])
+
     def test_mean_is_one_under_the_true_model(self, rng):
         model = build_ar1_model(30, 0.95)
         chol = np.linalg.cholesky(model.cov)

@@ -350,6 +350,17 @@ class TestKernelEdges:
             assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, len(picks[b]))
 
 
+class TestInitialState:
+    def test_target_must_have_one_entry_per_node(self):
+        model = build_ar1_model(5, 0.9)
+        for target in (np.zeros((2, 7)), np.zeros(5), np.zeros((1, 5, 1)), np.zeros((0, 5))):
+            with pytest.raises(ValueError, match="targets must have shape"):
+                initial_state([model], target)
+        for target in (np.zeros(7), np.zeros((1, 5)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="targets must have shape"):
+                initial_state(model, target)
+
+
 class TestIngest:
     def test_empty_delivery_advances_round_only(self):
         st = initial_state(build_ar1_model(4, 0.9))

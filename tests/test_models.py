@@ -42,6 +42,10 @@ class TestGaussianModel:
         model = GaussianModel(mean=np.zeros(3), cov=cov)
         assert model.K == 3
 
+    def test_rejects_a_model_without_nodes(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            GaussianModel(mean=[], cov=np.zeros((0, 0)))
+
     def test_arrays_are_frozen(self):
         model = GaussianModel(mean=np.zeros(2), cov=np.eye(2))
         with pytest.raises(ValueError):
@@ -174,6 +178,11 @@ class TestRankOneCondition:
         state = condition(model, [2], [0.0])
         with pytest.raises(ValueError, match="not in the unknown set"):
             rank_one_condition(state, 2, 1.0)
+
+    def test_repeated_label_rejected(self):
+        state = condition(build_ar1_model(4, 0.5), [], [])
+        with pytest.raises(ValueError, match="duplicate"):
+            rank_one_condition(state, [3, 1, 3], [0.0, 0.0, 0.0])
 
 
 def cho_solve_oracle(model, idx, vals):

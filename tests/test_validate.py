@@ -43,11 +43,16 @@ def test_checks_are_registered_in_order():
 
 def test_window_report_says_in_or_outside():
     assert _window("aloha mean stop", 49.84, ROUNDS_ALOHA_WINDOW) == (
-        "aloha mean stop 49.84 in [49.7, 56.0]"
+        True,
+        "aloha mean stop 49.84 in [49.7, 56.0]",
     )
     assert _window("aloha mean stop", 49.5, ROUNDS_ALOHA_WINDOW) == (
-        "aloha mean stop 49.50 outside [49.7, 56.0]"
+        False,
+        "aloha mean stop 49.50 outside [49.7, 56.0]",
     )
+    # Both edges are inside; a run with no stop round (nan mean) is outside.
+    assert _window("w", 56.0, ROUNDS_ALOHA_WINDOW)[0] and _window("w", 49.7, ROUNDS_ALOHA_WINDOW)[0]
+    assert _window("w", math.nan, ROUNDS_ALOHA_WINDOW) == (False, "w nan outside [49.7, 56.0]")
 
 
 def test_conditioning_report_on_a_biased_update():
