@@ -262,9 +262,10 @@ def ingest(
 ) -> SensingState | PosteriorStack:
     """Fold a round's delivered measurements into the state.
 
-    Nodes are conditioned one at a time (ascending label) through the
-    rank-one update; near-deterministic nodes are absorbed without a
-    covariance update.  The state is updated in place and returned.
+    A run's nodes, in ascending label order, are one blocked downdate
+    (``rank_one_condition``); a node that is near-deterministic given the
+    earlier ones is absorbed without a covariance update.  The state is
+    updated in place and returned.
 
     For a ``SensingState``, ``delivered`` maps node labels to values.  On a
     ``PosteriorStack`` it maps each run still in play to its deliveries

@@ -380,9 +380,11 @@ def _run_block(
                     sqerr_d, expected_d = prediction_error_terms(
                         post, delivered, vals, run=i, arm=m - 1
                     )
-                    _, expected_true = prediction_error_terms(
-                        post, delivered, vals, run=i, arm=true_idx
-                    )
+                    expected_true = expected_d
+                    if m - 1 != true_idx:
+                        _, expected_true = prediction_error_terms(
+                            post, delivered, vals, run=i, arm=true_idx
+                        )
                     cost = cost_ratio(sqerr_d, expected_d)
                     if scenario.fixed_model is None:
                         bsts[i] = update(bsts[i], m, cost)

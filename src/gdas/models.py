@@ -12,10 +12,11 @@ Two conditioning paths are provided and must agree:
 
 * ``condition`` forms the Schur complement of the observed block from one
   Cholesky factorization and is the reference implementation,
-* ``rank_one_condition`` folds in one observation at a time with an
-  O(L^2) covariance downdate.  It is one kernel over a stack of posteriors:
-  the round loop folds each run's deliveries into all of its models in
-  place, and a ``ConditionalState`` is copied into a stack of one on entry.
+* ``rank_one_condition`` folds a round's observations into an existing
+  posterior with one O(d L^2) covariance downdate of rank d.  It is one
+  kernel over a stack of posteriors: the round loop folds each run's
+  deliveries into all of its models in place, and a ``ConditionalState`` is
+  copied into a stack of one on entry.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .errors import DegenerateVarianceError, NumericalDegeneracyError
 
 # Below this conditional variance a node is considered already determined.
 DEGENERATE_VARIANCE_EPS = 1e-10
+
+# A stack compacts once its widest run fills less than this share of its
+# width: every fold and pick costs the width squared.
+COMPACT_FILL = 0.9
 
 FAMILY_SIZE = 5
 
@@ -221,29 +226,52 @@ def _fold(
     """Fold observations into one run's posteriors under M models, in place.
 
     ``cov`` is (M, n, n) and ``mean`` (M, n); column ``pos[i]`` holds node
-    ``labels[i]``, observed at ``values[i]``.  Each observation is one
-    rank-one downdate of every model, after which its row and column (and
-    mean entry) are zero.
+    ``labels[i]``, observed at ``values[i]``.  The d observations are one
+    rank-d downdate of every model.  As in ``condition``, with the observed
+    block C[P, P] = L L^T, the whitened rows
+    W = [W_u | w_z] = L^{-1} [C[P, :] | values - mean[P]] give
+
+        mean += W_u^T w_z,    cov -= W_u^T W_u,
+
+    after which the observed rows, columns and mean entries are zero.  W is
+    built one row at a time (left-looking): row k is node k's row of
+    ``cov`` given the earlier nodes, over the square root of its variance
+    nu_k given them (reading the row as the column needs ``cov`` exactly
+    symmetric, which a ``PosteriorStack`` keeps).  Where nu_k is at most
+    ``DEGENERATE_VARIANCE_EPS`` under a model, the row is zero there, so
+    the node is absorbed, or ``DegenerateVarianceError`` is raised.
+
+    One einsum gives W_u^T W = [W_u^T W_u | W_u^T w_z], so the update is two
+    passes over each covariance.  Its sums over the d rows run in row order,
+    so every entry's arithmetic is the same whatever the width n, the
+    padding or the columns the nodes sit in; that of a BLAS ``W_u^T W_u``
+    is not.
     """
-    step = np.empty_like(cov)
-    for l, v, label in zip(pos.tolist(), values, labels):
-        c = cov[:, :, l].copy()
-        nu = c[:, l].copy()
-        good = nu > DEGENERATE_VARIANCE_EPS
-        if not good.all():
+    M, n = mean.shape
+    W = np.empty((M, pos.shape[0], n + 1))
+    for k, (l, v, label) in enumerate(zip(pos.tolist(), values, labels)):
+        row = W[:, k]
+        row[:, :n] = cov[:, l]
+        np.subtract(v, mean[:, l], out=row[:, n])
+        if k:
+            row -= np.einsum("mj,mjn->mn", W[:, :k, l], W[:, :k])
+        nu = row[:, l : l + 1].copy()
+        if not all(x > DEGENERATE_VARIANCE_EPS for x in row[:, l].tolist()):
+            bad = ~(nu[:, 0] > DEGENERATE_VARIANCE_EPS)
             if not absorb_degenerate:
                 raise DegenerateVarianceError(
-                    f"conditional variance of node {label} is {nu[~good][0]:.3e}; "
+                    f"conditional variance of node {label} is {nu[bad][0, 0]:.3e}; "
                     "the value is already determined by the data"
                 )
-            # A zero column leaves that model's posterior as it is.
-            c[~good] = 0.0
-            nu[~good] = 1.0
-        mean += c * ((v - mean[:, l]) / nu)[:, None]
-        np.einsum("mi,mj->mij", c, c, out=step)
-        step /= nu[:, None, None]
-        cov -= step
-        cov[:, l, :] = 0.0
+            # A zero row leaves that model's posterior as it is.
+            row[bad] = 0.0
+            nu[bad] = 1.0
+        row /= np.sqrt(nu)
+    step = np.einsum("mki,mkj->mij", W[:, :, :n], W)
+    cov -= step[:, :, :n]
+    mean += step[:, :, n]
+    for l in pos.tolist():
+        cov[:, l] = 0.0
         cov[:, :, l] = 0.0
         mean[:, l] = 0.0
 
@@ -349,23 +377,35 @@ class PosteriorStack:
 
     def compact(self, runs: Sequence[int]) -> None:
         """Keep only ``runs``, gathered to the narrowest width that holds them,
-        once the widest of them fills less than 3/4 of the stack's width.
+        once the widest of them fills less than ``COMPACT_FILL`` of the
+        stack's width.
 
         The other runs are dropped: they read as fully known from then on.
+        The new stack is the front of the old one's buffer, and each kept
+        run's models are gathered by one index, so the peak memory is the
+        old stack and one run's (M, u, u) block.
         """
         width = max((self.unknown[b] for b in runs), default=0)
-        if width >= 0.75 * self.cov.shape[-1]:
+        if width >= COMPACT_FILL * self.cov.shape[-1]:
             return
         B, M = self.mean.shape[:2]
-        cov = np.zeros((B, M, width, width))
+        # Run b's new block ends no later than its old block, so taking the
+        # runs in order reads each old block before a write reaches it.
+        cov = self.cov.reshape(-1)[: B * M * width * width].reshape(B, M, width, width)
         mean = np.zeros((B, M, width))
         labels = np.zeros((B, width), dtype=np.int64)
         self.where[:] = -1
         self.unknown = [0] * B
-        for b in runs:
+        kept = set(runs)
+        for b in range(B):
+            if b not in kept:
+                cov[b] = 0.0
+                continue
             cols = self.columns(b)
             u = cols.shape[0]
-            cov[b, :, :u, :u] = self.cov[b].take(cols, axis=1).take(cols, axis=2)
+            cov[b, :, :u, :u] = self.cov[b][:, cols[:, None], cols]
+            cov[b, :, u:] = 0.0
+            cov[b, :, :u, u:] = 0.0
             mean[b, :, :u] = self.mean[b].take(cols, axis=1)
             labels[b, :u] = self.labels[b, cols]
             self.where[b, labels[b, :u]] = np.arange(u)
@@ -392,9 +432,12 @@ def rank_one_condition(
     variance and r_l its covariance column.  Agrees with ``condition`` on the
     union of the observed sets to within accumulation error.
 
-    ``node`` and ``value`` may also be equal-length sequences: the
-    observations are folded in that order, one downdate each.  The result
-    is bit-identical to folding them one call at a time.
+    ``node`` and ``value`` may also be equal-length sequences.  One call is
+    one blocked downdate: the nodes, taken in that order, whiten against
+    each other (each one's r_l and nu_l are given the earlier ones) and the
+    posterior takes a single rank-d update.  It agrees with folding them one
+    call at a time to within rounding, and its result does not depend on
+    the width or column layout of the stack it runs on.
 
     A ``PosteriorStack`` is updated in place: the observations are folded
     into every model of its run ``run``, and the stack is returned.  A

@@ -13,6 +13,7 @@ from gdas.models import (
     build_ar1_model,
     build_model_family,
     condition,
+    rank_one_condition,
 )
 
 from conftest import random_psd_model
@@ -397,6 +398,33 @@ class TestIngest:
         np.testing.assert_allclose(cond.cond_mean, oracle.cond_mean, rtol=0, atol=1e-10)
         np.testing.assert_allclose(cond.cond_cov, oracle.cond_cov, rtol=0, atol=1e-10)
         assert st.mse_theory == pytest.approx(float(np.trace(oracle.cond_cov)), abs=1e-10)
+
+    def test_compaction_gathers_without_an_intermediate(self):
+        # A K=400 round's folds leave run 0 with 359 of 400 unknowns, below
+        # 0.9 of the width, so the compaction that ends its ingest gathers.
+        # The new stack reuses the old one's buffer: the gather peaks at the
+        # old stack and one (M, u, u) block, plus 0.5 MiB for numpy's fixed
+        # indexing buffers (~0.13 MB).  A fresh new stack would add 4.1 MB,
+        # and gathering rows, then columns an (M, u, 400) array, 2.3 MB.
+        K, M = 400, 2
+        models = [build_ar1_model(K, 0.95), build_ar1_model(K, 0.8)]
+        slots = {0: {n: 0.0 for n in range(1, 42)}, 1: {n: 0.0 for n in range(100, 150)}}
+        tracemalloc.start()
+        try:
+            post = initial_state(models, np.zeros((2, K)))
+            for run, payload in slots.items():
+                rank_one_condition(post, list(payload), list(payload.values()), run=run)
+            old = post.cov.nbytes
+            tracemalloc.reset_peak()
+            post.compact(list(slots))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        u = post.cov.shape[-1]
+        assert u == 359 and post.unknown == [359, 350]
+        assert peak < old + M * u * u * 8 + (1 << 19)
+        oracle = condition(models[1], range(100, 150), np.zeros(50))
+        np.testing.assert_allclose(post.cond(1, 1).cond_cov, oracle.cond_cov, rtol=0, atol=1e-9)
 
     def test_single_delivery_two_node_example(self):
         model = build_ar1_model(2, 0.95)

@@ -1,5 +1,7 @@
 """Gaussian models, conditioning, and the candidate-model family."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,7 +11,9 @@ from scipy.linalg import cho_solve
 from gdas.engine import ingest, initial_state
 from gdas.errors import DegenerateVarianceError, NumericalDegeneracyError
 from gdas.models import (
+    DEGENERATE_VARIANCE_EPS,
     GaussianModel,
+    PosteriorStack,
     build_ar1_model,
     build_model_family,
     condition,
@@ -152,12 +156,14 @@ class TestRankOneCondition:
             state = condition(model, [], [])
             for node, value in zip(order, vals):
                 state = rank_one_condition(state, int(node), float(value))
-            # One call folding the whole sequence does the same arithmetic.
+            # One call folding the whole sequence is one blocked downdate: it
+            # regroups the sums, so it matches the chain to rounding.
             folded = rank_one_condition(condition(model, [], []), order, vals)
             assert folded.known_idx == state.known_idx
             np.testing.assert_array_equal(folded.unknown_idx, state.unknown_idx)
-            np.testing.assert_array_equal(folded.cond_mean, state.cond_mean)
-            np.testing.assert_array_equal(folded.cond_cov, state.cond_cov)
+            scale = 1e-12 * max(1.0, float(np.abs(model.cov).max()), float(np.abs(vals).max()))
+            np.testing.assert_allclose(folded.cond_mean, state.cond_mean, rtol=0, atol=scale)
+            np.testing.assert_allclose(folded.cond_cov, state.cond_cov, rtol=0, atol=scale)
             batch = condition(model, order, vals)
             np.testing.assert_allclose(state.cond_mean, batch.cond_mean, atol=1e-8)
             np.testing.assert_allclose(state.cond_cov, batch.cond_cov, atol=1e-8)
@@ -339,6 +345,137 @@ class TestOracleAccuracy:
                         np.testing.assert_allclose(chain.cond_cov, oracle.cond_cov, 0, scale)
             # Runs leave the block when done, or at random: the stack drops them.
             playing = [b for b in playing if done[b] < k and rng.random() > 0.05]
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_blocked_downdate_matches_the_single_node_chain(self, data):
+        """Each round's nodes in one ``rank_one_condition`` call, a blocked
+        downdate, match the same nodes folded one call at a time within
+        1e-12 * scale, and ``condition`` within 1e-9 * scale.  Both are
+        orders of one Cholesky factorization of the observed block, whose
+        rounding grows with the largest prior entry over the smallest
+        variance divided by, so the chain's scale carries that ratio.  Near
+        rank-3 family models (noise 1e-11) find a node determined in the
+        middle of a round: both sides name the same first such node in each
+        model, and absorb it alike."""
+        near_singular = data.draw(st.booleans(), label="near_singular")
+        k = data.draw(st.integers(7, 20 if near_singular else 40), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if near_singular:
+            models = build_model_family(k, noise=1e-11)[:3]
+        else:
+            models = [random_psd_model(rng, k) for _ in range(data.draw(st.integers(1, 3)))]
+        x = model_draw(models[0], rng)
+        order = rng.permutation(k) + 1
+        # A near rank-3 model finds a node determined within a round of all K.
+        sizes = [k if near_singular else data.draw(st.integers(1, k), label="first round")]
+        while sum(sizes) < k:
+            sizes.append(int(rng.integers(1, 9)))
+        scale = max(1.0, max(float(np.abs(m.cov).max()) for m in models), float(np.abs(x).max()))
+        blocked = [condition(model, [], []) for model in models]
+        chains = list(blocked)
+        nu_min = [np.inf] * len(models)
+        mid_round = False
+        done = 0
+        for size in sizes:
+            nodes = sorted(order[done : done + size].tolist())
+            done += size
+            vals = [float(x[v - 1]) for v in nodes]
+            for a, model in enumerate(models):
+                first = first_determined(blocked[a], nodes, vals, blocked=True)
+                assert first == first_determined(chains[a], nodes, vals, blocked=False)
+                mid_round |= first not in (None, nodes[0])
+                blocked[a] = rank_one_condition(blocked[a], nodes, vals, absorb_degenerate=True)
+                for v, value in zip(nodes, vals):
+                    chain = chains[a]
+                    l = int(np.searchsorted(chain.unknown_idx, v))
+                    nu = chain.cond_cov[l, l]
+                    if nu > DEGENERATE_VARIANCE_EPS:
+                        nu_min[a] = min(nu_min[a], nu)
+                    chains[a] = rank_one_condition(chain, v, value, absorb_degenerate=True)
+                got, want = blocked[a], chains[a]
+                assert got.known_idx == want.known_idx
+                np.testing.assert_array_equal(got.unknown_idx, want.unknown_idx)
+                atol = 1e-12 * scale * max(1.0, float(np.abs(model.cov).max()) / nu_min[a])
+                np.testing.assert_allclose(got.cond_mean, want.cond_mean, rtol=0, atol=atol)
+                np.testing.assert_allclose(got.cond_cov, want.cond_cov, rtol=0, atol=atol)
+                if not near_singular or a == 0:
+                    oracle = condition(model, got.known_idx, got.known_vals)
+                    np.testing.assert_allclose(got.cond_mean, oracle.cond_mean, 0, 1e-9 * scale)
+                    np.testing.assert_allclose(got.cond_cov, oracle.cond_cov, 0, 1e-9 * scale)
+        assert mid_round or not near_singular
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_fold_does_not_depend_on_the_stack_layout(self, data):
+        """One run's deliveries, folded on a stack of random width and run
+        count, with the run's unknowns at random ascending columns among
+        zero padding and the other runs holding random data, leave the
+        run's posteriors bit for bit as on its own compact stack.  Near
+        rank-3 family models (noise 1e-11) absorb nodes on the way."""
+        near_singular = data.draw(st.booleans(), label="near_singular")
+        k = data.draw(st.integers(7 if near_singular else 2, 60), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if near_singular:
+            models = build_model_family(k, noise=1e-11)[:3]
+        else:
+            models = [random_psd_model(rng, k) for _ in range(data.draw(st.integers(1, 3)))]
+        x = model_draw(models[0], rng)
+        seen = data.draw(st.integers(0, k - 1), label="observed before")
+        order = rng.permutation(k) + 1
+        priors = [condition(model, [], []) for model in models]
+        if seen:
+            priors = [
+                rank_one_condition(p, order[:seen], x[order[:seen] - 1], absorb_degenerate=True)
+                for p in priors
+            ]
+        nodes = sorted(order[seen : seen + data.draw(st.integers(1, k - seen))].tolist())
+        vals = [float(x[v - 1]) for v in nodes]
+        alone = PosteriorStack(priors)
+        rank_one_condition(alone, nodes, vals, absorb_degenerate=True)
+
+        u = k - seen
+        width = u + data.draw(st.integers(0, 40), label="padding")
+        runs = data.draw(st.integers(1, 4), label="runs")
+        run = data.draw(st.integers(0, runs - 1), label="run")
+        cols = np.sort(rng.choice(width, size=u, replace=False))
+        post = PosteriorStack(priors, np.zeros((runs, k)))
+        compact = post.cov[run].copy(), post.mean[run].copy(), post.labels[run].copy()
+        noise = rng.standard_normal((runs, len(models), width, width))
+        post.cov = noise + noise.swapaxes(-1, -2)
+        post.mean = rng.standard_normal((runs, len(models), width))
+        post.labels = np.zeros((runs, width), dtype=np.int64)
+        post.cov[run] = 0.0
+        post.mean[run] = 0.0
+        post.cov[run][:, cols[:, None], cols] = compact[0]
+        post.mean[run][:, cols] = compact[1]
+        post.labels[run, cols] = compact[2]
+        post.where[run, compact[2]] = cols
+        rank_one_condition(post, nodes, vals, absorb_degenerate=True, run=run)
+
+        for a in range(len(models)):
+            got, want = post.cond(run, a), alone.cond(0, a)
+            np.testing.assert_array_equal(got.unknown_idx, want.unknown_idx)
+            np.testing.assert_array_equal(got.cond_mean, want.cond_mean)
+            np.testing.assert_array_equal(got.cond_cov, want.cond_cov)
+        skipped = post.labels[run] == 0
+        assert not post.cov[run][:, skipped].any() and not post.cov[run][:, :, skipped].any()
+        assert not post.mean[run][:, skipped].any()
+
+
+def first_determined(state, nodes, vals, *, blocked):
+    """The first of ``nodes`` that ``rank_one_condition`` finds determined
+    (variance at most ``DEGENERATE_VARIANCE_EPS`` given the nodes before it),
+    folding them in one call or one call per node; None if there is none."""
+    try:
+        if blocked:
+            rank_one_condition(state, nodes, vals)
+        else:
+            for v, value in zip(nodes, vals):
+                state = rank_one_condition(state, v, value)
+    except DegenerateVarianceError as exc:
+        return int(re.search(r"node (\d+)", str(exc))[1])
+    return None
 
 
 class TestAr1Model:
