@@ -268,9 +268,9 @@ def ingest(
     updated in place and returned.
 
     For a ``SensingState``, ``delivered`` maps node labels to values.  On a
-    ``PosteriorStack`` it maps each run still in play to its deliveries
-    (possibly none), which are folded into all of the run's models; runs
-    left out have finished and are dropped when the stack is next compacted.
+    ``PosteriorStack`` it maps runs to their deliveries, which are folded
+    into all of the run's models; every other run is left as it was.  The
+    stack is then compacted (``PosteriorStack.compact``).
     """
     post = state
     if isinstance(state, SensingState):
@@ -285,7 +285,7 @@ def ingest(
                 absorb_degenerate=True,
                 run=run,
             )
-    post.compact(list(delivered))
+    post.compact()
     return state
 
 
@@ -295,5 +295,4 @@ def polling_order(model: GaussianModel) -> list[int]:
     Depends only on the covariance, so it can be fixed before any value is
     seen and is identical for every realization.
     """
-    post = initial_state(model).post
-    return _greedy(post.cov[:, 0], post.labels, [model.K])[0]
+    return select_nodes(initial_state(model), model.K)

@@ -307,9 +307,8 @@ def _choose_arm(
     """The model a bandit run plays at round ``t`` and the probabilities it records."""
     if scenario.fixed_model is not None:
         return scenario.fixed_model, _one_hot(bst.arms, scenario.fixed_model)
-    forced = t < bst.arms or bool(np.any(bst.count == 0))
     m = select_model(bst, t, rng)
-    return m, _one_hot(bst.arms, m) if forced else tuple(softmax_probs(bst))
+    return m, tuple(softmax_probs(bst)) if bst.count.all() else _one_hot(bst.arms, m)
 
 
 def _run_block(
@@ -324,7 +323,9 @@ def _run_block(
     The block's runs share one posterior stack that holds each run's
     posterior under every arm, all fed the same deliveries: polling and
     ALOHA runs have one arm, bandit runs one per model, and rows report the
-    posterior of arm ``true_idx``.
+    posterior of arm ``true_idx``.  Which runs are in play is decided here
+    alone: ``ingest`` gets the runs that received something, and a run that
+    has stopped stays in the stack as it was.
     """
     p = scenario.upload_p
     N = scenario.N
@@ -336,8 +337,7 @@ def _run_block(
     random_start = scenario.first_round == "random"
 
     rngs = [_run_rng(scenario.seed, run) for run in run_ids]
-    xs = [draw(rng) for rng in rngs]
-    post = initial_state(models, np.array(xs))
+    post = initial_state(models, np.array([draw(rng) for rng in rngs]))
     bsts = [new_bandit_state(len(models), scenario.tau) for _ in run_ids] if bandit else None
     arm = [1] * len(run_ids)
     probs: list[tuple[float, ...] | None] = [None] * len(run_ids)
@@ -369,11 +369,12 @@ def _run_block(
         for i, requested in zip(active, requests):
             m = arm[i]
             outcome = access(requested, N, p, rngs[i])
-            x = xs[i]
+            x = post.targets[i]
             delivered = list(outcome.delivered)
             vals = [float(x[n - 1]) for n in delivered]
             if delivered:
                 last[i] = None
+                payloads[i] = dict(zip(delivered, vals))
             extra = ()
             if bandit:
                 if delivered:
@@ -391,7 +392,6 @@ def _run_block(
                 else:
                     sqerr_d = expected_true = cost = float("nan")
                 extra = (m, cost, sqerr_d, expected_true, *probs[i])
-            payloads[i] = dict(zip(delivered, vals))
             rounds.append(
                 (i, post.K - post.unknown[i], len(delivered), len(outcome.collided_channels), extra)
             )

@@ -84,6 +84,10 @@ class GaussianModel:
             )
         if mean.shape[0] == 0:
             raise ValueError("a model needs at least one node")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean has a non-finite entry")
+        if not np.isfinite(cov).all():
+            raise ValueError("cov has a non-finite entry")
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
             raise ValueError("cov is not symmetric")
@@ -287,7 +291,8 @@ class PosteriorStack:
     node k in run b (-1 once observed), ``unknown[b]`` the run's unknown
     count, ``observed[b]`` and ``observed_vals[b]`` the labels and values it
     has observed, in order, and ``targets`` (B, K) the hidden realizations
-    that ``sqerr_actual`` scores against.
+    that ``sqerr_actual`` scores against.  Runs never leave the stack: a
+    run that receives nothing more keeps its posterior as it is.
 
     Every run starts from the priors, which must share one unknown set; its
     log starts with the first prior's observations.  Without ``targets`` the
@@ -375,17 +380,15 @@ class PosteriorStack:
         self.observed[run] += labels
         self.observed_vals[run] += values
 
-    def compact(self, runs: Sequence[int]) -> None:
-        """Keep only ``runs``, gathered to the narrowest width that holds them,
-        once the widest of them fills less than ``COMPACT_FILL`` of the
-        stack's width.
+    def compact(self) -> None:
+        """Gather every run to the widest run's width, once that fills less
+        than ``COMPACT_FILL`` of the stack's width.
 
-        The other runs are dropped: they read as fully known from then on.
-        The new stack is the front of the old one's buffer, and each kept
-        run's models are gathered by one index, so the peak memory is the
-        old stack and one run's (M, u, u) block.
+        No run is dropped.  The new stack is the front of the old one's
+        buffer, and each run's models are gathered by one index, so the peak
+        memory is the old stack and one run's (M, u, u) block.
         """
-        width = max((self.unknown[b] for b in runs), default=0)
+        width = max(self.unknown)
         if width >= COMPACT_FILL * self.cov.shape[-1]:
             return
         B, M = self.mean.shape[:2]
@@ -394,13 +397,7 @@ class PosteriorStack:
         cov = self.cov.reshape(-1)[: B * M * width * width].reshape(B, M, width, width)
         mean = np.zeros((B, M, width))
         labels = np.zeros((B, width), dtype=np.int64)
-        self.where[:] = -1
-        self.unknown = [0] * B
-        kept = set(runs)
         for b in range(B):
-            if b not in kept:
-                cov[b] = 0.0
-                continue
             cols = self.columns(b)
             u = cols.shape[0]
             cov[b, :, :u, :u] = self.cov[b][:, cols[:, None], cols]
@@ -409,7 +406,6 @@ class PosteriorStack:
             mean[b, :, :u] = self.mean[b].take(cols, axis=1)
             labels[b, :u] = self.labels[b, cols]
             self.where[b, labels[b, :u]] = np.arange(u)
-            self.unknown[b] = u
         self.cov, self.mean, self.labels = cov, mean, labels
 
 
@@ -421,22 +417,21 @@ def rank_one_condition(
     absorb_degenerate: bool = False,
     run: int = 0,
 ) -> ConditionalState | PosteriorStack:
-    """Fold the observation ``node = value`` into an existing posterior.
+    """Fold the observations ``node = value`` into an existing posterior.
 
-    Uses the rank-one Schur downdate
+    ``node`` and ``value`` are one label and value, or equal-length
+    sequences.  One call is one blocked downdate: the nodes, taken in that
+    order, whiten against each other and the posterior takes a single
+    rank-d update.  Node l's conditional variance nu_l and covariance column
+    r_l are given the earlier nodes of the call; for one node the update is
+    the rank-one Schur downdate
 
         mean' = mean_{-l} + r_l (value - mean_l) / nu_l
         cov'  = cov_{-l}  - r_l r_l^T / nu_l
 
-    where l is the node's position in the unknown set, nu_l its conditional
-    variance and r_l its covariance column.  Agrees with ``condition`` on the
-    union of the observed sets to within accumulation error.
-
-    ``node`` and ``value`` may also be equal-length sequences.  One call is
-    one blocked downdate: the nodes, taken in that order, whiten against
-    each other (each one's r_l and nu_l are given the earlier ones) and the
-    posterior takes a single rank-d update.  It agrees with folding them one
-    call at a time to within rounding, and its result does not depend on
+    with l the node's position in the unknown set.  The result agrees with
+    ``condition`` on the union of the observed sets, and with folding the
+    nodes one call at a time, to within rounding.  It does not depend on
     the width or column layout of the stack it runs on.
 
     A ``PosteriorStack`` is updated in place: the observations are folded
@@ -444,12 +439,13 @@ def rank_one_condition(
     ``ConditionalState`` is copied into a stack of one, and the result is
     that stack's new, compact ``ConditionalState``.
 
-    Raises ``DegenerateVarianceError`` when nu_l is below
-    ``DEGENERATE_VARIANCE_EPS``: the node is already determined.  With
-    ``absorb_degenerate`` such a node is instead removed from the unknown
-    set without a covariance update: with a vanishing conditional variance
-    it carries no new information about the others, so this equals
-    conditioning it at its conditional mean.
+    Raises ``DegenerateVarianceError`` when nu_l is at most
+    ``DEGENERATE_VARIANCE_EPS`` under any of the run's models: the node is
+    already determined.  With ``absorb_degenerate`` such a node is instead
+    removed from the unknown set without a covariance update under that
+    model: with a vanishing conditional variance it carries no new
+    information about the others, so this equals conditioning it at its
+    conditional mean.
     """
     post = PosteriorStack([state]) if isinstance(state, ConditionalState) else state
     pos = post.positions(run, np.atleast_1d(node))

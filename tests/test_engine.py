@@ -78,17 +78,17 @@ def reference_picks(cov, labels, q):
     return picks
 
 
-def played_stack(models, runs, rng, rounds, dropped=()):
+def played_stack(models, runs, rng, rounds, stopped=()):
     """A block of ``runs`` runs after ``rounds`` rounds of 9-12 random
-    deliveries each; the runs in ``dropped`` leave the block in round 3,
-    the first whose ingest compacts a K=100 stack."""
+    deliveries each; the runs in ``stopped`` receive none from round 3, the
+    first whose ingest compacts a K=100 stack, and stay in the block."""
     K = models[0].K
     x = rng.normal(size=(runs, K))
     post = initial_state(models, x)
     for r in range(rounds):
         slots = {}
         for b in range(runs):
-            if r >= 2 and b in dropped:
+            if r >= 2 and b in stopped:
                 continue
             free = post.labels[b][post.labels[b] > 0]
             nodes = rng.choice(free, size=int(rng.integers(9, 13)), replace=False)
@@ -281,20 +281,20 @@ class TestSelectNodes:
 
 class TestKernelAtBenchmarkShapes:
     """``select_nodes`` on played blocks of the benchmark's sizes (masked
-    columns, a compacted stack, ragged counts, runs that left the block)
-    picks what an explicit Schur-complement downdate picks."""
+    columns, a compacted stack, ragged counts, runs that stopped receiving
+    deliveries) picks what an explicit Schur-complement downdate picks."""
 
     @pytest.mark.parametrize("q", [4, 20])
     def test_k100_block_of_19(self, q):
         rng = np.random.default_rng(100 + q)
         models = build_model_family(100)
-        post = played_stack(models, 19, rng, rounds=4, dropped=(3, 11))
+        post = played_stack(models, 19, rng, rounds=4, stopped=(3, 11))
         assert post.cov.shape[-1] < 100 and (post.labels[0] == 0).any()
         qs = [q if b % 3 else int(rng.integers(1, q + 1)) for b in range(19)]
         arms = rng.integers(0, len(models), size=19)
         picks = select_nodes(post, qs, arms=arms)
         assert [len(p) for p in picks] == [min(v, post.unknown[b]) for b, v in enumerate(qs)]
-        assert picks[3] == picks[11] == []
+        assert picks[3] and picks[11]
         for b in range(19):
             cond = post.cond(b, arms[b])
             assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, len(picks[b]))
@@ -416,7 +416,7 @@ class TestIngest:
                 rank_one_condition(post, list(payload), list(payload.values()), run=run)
             old = post.cov.nbytes
             tracemalloc.reset_peak()
-            post.compact(list(slots))
+            post.compact()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,6 +425,33 @@ class TestIngest:
         assert peak < old + M * u * u * 8 + (1 << 19)
         oracle = condition(models[1], range(100, 150), np.zeros(50))
         np.testing.assert_allclose(post.cond(1, 1).cond_cov, oracle.cond_cov, rtol=0, atol=1e-9)
+
+    def test_a_run_left_out_keeps_its_posterior(self):
+        # After every ingest, run 1 is what a run of its own fed only run 1's
+        # deliveries is: also when it is left out of an ingest that gathers
+        # the stack to a narrower width.
+        model = build_ar1_model(10, 0.95)
+        post = initial_state([model], np.zeros((2, 10)))
+        alone = initial_state(model, np.zeros(10))
+
+        def assert_run_1_is_alone():
+            ours, theirs = post.cond(1), alone.cond
+            assert ours.known_idx == theirs.known_idx
+            np.testing.assert_array_equal(ours.unknown_idx, theirs.unknown_idx)
+            np.testing.assert_array_equal(ours.cond_mean, theirs.cond_mean)
+            np.testing.assert_array_equal(ours.cond_cov, theirs.cond_cov)
+            assert post.mse_theory(1) == alone.mse_theory
+            assert select_nodes(post, 3, runs=[1]) == [select_nodes(alone, 3)]
+
+        ingest(post, {0: {1: 0.5, 2: 0.1}})
+        assert post.unknown[1] == 10 and post.mse_theory(1) == 10.0
+        assert_run_1_is_alone()
+        ingest(post, {1: {n: 0.2 for n in range(4, 9)}})
+        ingest(alone, {n: 0.2 for n in range(4, 9)})
+        assert_run_1_is_alone()
+        ingest(post, {0: {3: 0.0, 9: 0.3}})
+        assert post.cov.shape[-1] == 6 and post.unknown == [6, 5]
+        assert_run_1_is_alone()
 
     def test_single_delivery_two_node_example(self):
         model = build_ar1_model(2, 0.95)

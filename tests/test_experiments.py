@@ -488,6 +488,25 @@ class TestBanditScenario:
                 if rec["t"] < 5:
                     assert rec["m"] == rec["t"] + 1
 
+    def test_probabilities_are_one_hot_exactly_on_forced_rounds(self):
+        # A round records one-hot P_* exactly when some arm has no cost
+        # sample yet.  At p = 0.15 some round-robin rounds deliver nothing,
+        # so some runs also force an arm after round M - 1.
+        s = Scenario(mode="bandit", K=12, N=2, p=0.15, T=20, runs=8, seed=5)
+        res = run_bandit_scenario(s)
+        probs = [c for c in res.records.columns if c.startswith("P_")]
+        late = 0
+        for run in range(s.run_count):
+            samples = np.zeros(len(probs), dtype=int)
+            for rec in run_rows(res.records, run):
+                p = np.array([rec[c] for c in probs])
+                one_hot = np.count_nonzero(p) == 1 and p.max() == 1.0
+                assert one_hot == (samples == 0).any()
+                late += one_hot and rec["t"] >= len(probs)
+                if not np.isnan(rec["Y"]):
+                    samples[int(rec["m"]) - 1] += 1
+        assert late > 0
+
     def test_fixed_model_baseline_plays_one_arm(self):
         s = Scenario(mode="bandit", K=12, N=2, p=0.4, T=10, runs=3, seed=5, fixed_model=2)
         res = run_bandit_scenario(s)

@@ -50,6 +50,19 @@ class TestGaussianModel:
         with pytest.raises(ValueError, match="at least one node"):
             GaussianModel(mean=[], cov=np.zeros((0, 0)))
 
+    @pytest.mark.parametrize(
+        "mean, cov, which",
+        [
+            ([np.nan, 0.0], np.eye(2), "mean"),
+            ([0.0, -np.inf], np.eye(2), "mean"),
+            ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "cov"),
+            ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "cov"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, mean, cov, which):
+        with pytest.raises(ValueError, match=f"^{which} has a non-finite entry$"):
+            GaussianModel(mean=mean, cov=cov)
+
     def test_arrays_are_frozen(self):
         model = GaussianModel(mean=np.zeros(2), cov=np.eye(2))
         with pytest.raises(ValueError):
@@ -284,8 +297,8 @@ class TestOracleAccuracy:
     @given(data=st.data())
     def test_stack_equals_oracle_on_random_delivery_slots(self, data):
         """The block path: each round folds random delivery slots of several
-        runs into one ``PosteriorStack``, which compacts as runs narrow or
-        leave.  Every run's posterior under every model, and its compact
+        runs into one ``PosteriorStack``, which compacts as runs narrow;
+        a run that leaves is named in no later ingest.  Every run's posterior under every model, and its compact
         ``cond`` view, equals its own ``rank_one_condition`` chain bit for
         bit and ``condition`` within 1e-9 * scale.  Near rank-3 family models
         absorb degenerate nodes (so ``condition``, which uses the values, is
@@ -343,7 +356,7 @@ class TestOracleAccuracy:
                         scale = atol * max(1.0, float(np.abs(model.cov).max()))
                         np.testing.assert_allclose(chain.cond_mean, oracle.cond_mean, 0, scale)
                         np.testing.assert_allclose(chain.cond_cov, oracle.cond_cov, 0, scale)
-            # Runs leave the block when done, or at random: the stack drops them.
+            # Runs leave the block when done, or at random: ingest no longer names them.
             playing = [b for b in playing if done[b] < k and rng.random() > 0.05]
 
     @settings(max_examples=40, deadline=None, database=None)
