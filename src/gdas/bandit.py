@@ -60,15 +60,17 @@ def prediction_error_terms(
     delivered_vals: Sequence[float],
     *,
     run: int = 0,
-    arm: int = 0,
-) -> tuple[float, float]:
+    arm: int | Sequence[int] = 0,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(squared prediction error, its model expectation) for delivered nodes,
     read from the posterior of ``post``'s run ``run`` under its model ``arm``
     (a ``ConditionalState`` is copied into a stack of one).
 
     The expectation term is the trace of the conditional covariance
     restricted to the delivered nodes, exact for a Gaussian model.  Their
-    ratio is the round cost of ``cost_ratio``.
+    ratio is the round cost of ``cost_ratio``.  ``arm`` is one model (two
+    floats are returned) or a sequence of models (two arrays, one entry per
+    model); the nodes are looked up once either way.
     """
     post = PosteriorStack([post]) if isinstance(post, ConditionalState) else post
     idx = np.asarray(list(delivered_idx))
@@ -78,8 +80,13 @@ def prediction_error_terms(
     if idx.shape[0] != vals.shape[0]:
         raise ValueError("delivered_idx and delivered_vals must have the same length")
     pos = post.positions(run, idx)
-    mean, cov = post.mean[run, arm], post.cov[run, arm]
-    return float(np.sum((vals - mean[pos]) ** 2)), float(cov[pos, pos].sum())
+    arms = np.asarray(arm)
+    err = vals - post.mean[run][:, pos][arms]
+    sqerr = np.add.reduce(err * err, -1)
+    expected = np.add.reduce(post.cov[run][:, pos, pos][arms], -1)
+    if arms.ndim:
+        return sqerr, expected
+    return float(sqerr), float(expected)
 
 
 def cost_ratio(sqerr: float, expected: float) -> float:
@@ -124,8 +131,11 @@ def select_model(state: BanditState, t: int, rng: np.random.Generator) -> int:
     unseen = np.flatnonzero(state.count == 0)
     if unseen.shape[0] > 0:
         return int(unseen[0]) + 1
-    probs = softmax_probs(state)
-    return int(rng.choice(state.arms, p=probs)) + 1
+    # The draw of ``rng.choice(arms, p=probs)``: one uniform, located in the
+    # normalized cdf, so the stream advances exactly as it would there.
+    cdf = softmax_probs(state).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right")) + 1
 
 
 def update(state: BanditState, m: int, cost: float) -> BanditState:

@@ -271,20 +271,29 @@ def ingest(
     ``PosteriorStack`` it maps runs to their deliveries, which are folded
     into all of the run's models; every other run is left as it was.  The
     stack is then compacted (``PosteriorStack.compact``).
+
+    Every label and value of the round is checked before the first fold,
+    the labels in one ``PosteriorStack.positions`` pass, so a bad one in any
+    run raises ``ValueError`` and leaves every run as it was.
     """
     post = state
     if isinstance(state, SensingState):
         post, delivered = state.post, {0: delivered}
+    folds = []
     for run, payload in delivered.items():
         if payload:
             nodes = sorted(payload)
+            folds.append((run, nodes, [float(payload[n]) for n in nodes]))
+    if folds:
+        runs = [run for run, nodes, _ in folds for _ in nodes]
+        cols = post.positions(runs, [n for _, nodes, _ in folds for n in nodes])
+        start = 0
+        for run, nodes, vals in folds:
+            stop = start + len(nodes)
             rank_one_condition(
-                post,
-                nodes,
-                [float(payload[n]) for n in nodes],
-                absorb_degenerate=True,
-                run=run,
+                post, nodes, vals, absorb_degenerate=True, run=run, cols=cols[start:stop]
             )
+            start = stop
     post.compact()
     return state
 

@@ -378,14 +378,9 @@ def _run_block(
             extra = ()
             if bandit:
                 if delivered:
-                    sqerr_d, expected_d = prediction_error_terms(
-                        post, delivered, vals, run=i, arm=m - 1
+                    (sqerr_d, _), (expected_d, expected_true) = prediction_error_terms(
+                        post, delivered, vals, run=i, arm=(m - 1, true_idx)
                     )
-                    expected_true = expected_d
-                    if m - 1 != true_idx:
-                        _, expected_true = prediction_error_terms(
-                            post, delivered, vals, run=i, arm=true_idx
-                        )
                     cost = cost_ratio(sqerr_d, expected_d)
                     if scenario.fixed_model is None:
                         bsts[i] = update(bsts[i], m, cost)
@@ -396,19 +391,14 @@ def _run_block(
                 (i, post.K - post.unknown[i], len(delivered), len(outcome.collided_channels), extra)
             )
         ingest(post, payloads)
+        theory = post.mse_theory(active, true_idx).tolist()
+        actual = post.sqerr_actual(active, true_idx).tolist()
         still = []
-        for i, known_before, n_delivered, n_collided, extra in rounds:
+        for (i, known_before, n_delivered, n_collided, extra), mse, sqerr in zip(
+            rounds, theory, actual
+        ):
             run_rows[i].append(
-                (
-                    run_ids[i],
-                    t,
-                    known_before,
-                    post.mse_theory(i, true_idx),
-                    post.sqerr_actual(i, true_idx),
-                    n_delivered,
-                    n_collided,
-                    *extra,
-                )
+                (run_ids[i], t, known_before, mse, sqerr, n_delivered, n_collided, *extra)
             )
             if post.K - post.unknown[i] >= kbar:
                 stops[i] = t + 1

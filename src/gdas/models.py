@@ -38,6 +38,18 @@ COMPACT_FILL = 0.9
 FAMILY_SIZE = 5
 
 
+def _readout(run: int | Sequence[int], terms: np.ndarray) -> float | np.ndarray:
+    """Sums of ``terms`` over its last axis, taken left to right: a float for
+    one ``run``, an array for a sequence of runs.  A zero term then adds
+    exactly nothing, so a readout does not depend on the stack's width or on
+    where its zero columns (observed nodes, padding) sit."""
+    if terms.shape[-1] == 0:
+        out = np.zeros(terms.shape[:-1])
+    else:
+        out = np.cumsum(terms, axis=-1)[..., -1]
+    return out if np.ndim(run) else float(out)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -326,22 +338,30 @@ class PosteriorStack:
         self.observed = [list(first.known_idx) for _ in range(runs)]
         self.observed_vals = [first.known_vals.tolist() for _ in range(runs)]
         self.targets = targets
+        # Run b's target at node k is _truth[b, k]; the zero labels gather
+        # the zero in column 0.
+        if targets is not None:
+            self._truth = np.concatenate((np.zeros((runs, 1)), targets), axis=1)
 
-    def positions(self, run: int, nodes: Sequence[int]) -> np.ndarray:
-        """Columns of ``nodes`` in ``run``.
+    def positions(self, run: int | Sequence[int], nodes: Sequence[int]) -> np.ndarray:
+        """Columns of ``nodes`` in ``run``: one run, or one run per node.
 
         Raises ``ValueError`` when a label is not an integer, is already
-        observed or outside 1..K, or appears twice.
+        observed in its run or outside 1..K, or appears twice in one run.
         """
         nodes = as_integers(nodes)
-        # Labels outside 1..K clip onto the -1 sentinels in columns 0 and K+1.
-        pos = self.where[run].take(nodes, mode="clip")
-        if (pos < 0).any():
+        # Flat indices into ``where``, one per (run, label) pair: labels
+        # outside 1..K clip onto the run's -1 sentinels in columns 0 and K+1.
+        flat = np.arange(self.K + 2).take(nodes, mode="clip")
+        flat += np.multiply(run, self.K + 2)
+        pos = self.where.take(flat)
+        if -1 in pos.ravel().tolist():
             raise ValueError(
                 f"node {int(nodes[pos < 0][0])} is not in the unknown set "
                 "(already observed or not a valid label)"
             )
-        if len(set(pos.ravel().tolist())) != pos.size:
+        keys = flat.ravel().tolist()
+        if len(set(keys)) != len(keys):
             raise ValueError("duplicate node labels")
         return pos
 
@@ -360,22 +380,31 @@ class PosteriorStack:
             self.cov[run, arm].take(cols, axis=0).take(cols, axis=1),
         )
 
-    def mse_theory(self, run: int, arm: int = 0) -> float:
-        """Trace of ``run``'s posterior covariance under its model ``arm``."""
-        return float(self.cov[run, arm].diagonal()[self.columns(run)].sum())
+    def mse_theory(self, run: int | Sequence[int], arm: int = 0) -> float | np.ndarray:
+        """Trace of ``run``'s posterior covariance under its model ``arm``.
 
-    def sqerr_actual(self, run: int, arm: int = 0) -> float:
+        ``run`` is one run (a float is returned) or a sequence of runs (an
+        array, one trace per run).  Each trace sums the run's diagonal left
+        to right over the stack's columns, so it is the same whatever the
+        stack's width and layout, and the same in both forms.
+        """
+        return _readout(run, self.cov.diagonal(axis1=-2, axis2=-1)[run, arm])
+
+    def sqerr_actual(self, run: int | Sequence[int], arm: int = 0) -> float | np.ndarray:
         """Squared error of ``run``'s posterior mean under its model ``arm``
-        against the run's target (nan without targets)."""
+        against the run's target (nan without targets).
+
+        ``run`` and the summation are as in ``mse_theory``.
+        """
         if self.targets is None:
-            return float("nan")
-        cols = self.columns(run)
-        u = self.targets[run, self.labels[run, cols] - 1]
-        return float(((u - self.mean[run, arm, cols]) ** 2).sum())
+            return _readout(run, np.full(np.shape(run) + (1,), np.nan))
+        runs = np.asarray(run)
+        err = self._truth[runs[..., None], self.labels[runs]] - self.mean[runs, arm]
+        return _readout(run, err * err)
 
     def _observe(self, run: int, pos: np.ndarray, labels: list[int], values: list[float]) -> None:
-        self.where[run, self.labels[run, pos]] = -1
-        self.labels[run, pos] = 0
+        self.where[run][labels] = -1
+        self.labels[run][pos] = 0
         self.unknown[run] -= pos.shape[0]
         self.observed[run] += labels
         self.observed_vals[run] += values
@@ -416,6 +445,7 @@ def rank_one_condition(
     *,
     absorb_degenerate: bool = False,
     run: int = 0,
+    cols: np.ndarray | None = None,
 ) -> ConditionalState | PosteriorStack:
     """Fold the observations ``node = value`` into an existing posterior.
 
@@ -437,7 +467,10 @@ def rank_one_condition(
     A ``PosteriorStack`` is updated in place: the observations are folded
     into every model of its run ``run``, and the stack is returned.  A
     ``ConditionalState`` is copied into a stack of one, and the result is
-    that stack's new, compact ``ConditionalState``.
+    that stack's new, compact ``ConditionalState``.  The labels are checked
+    and resolved by ``PosteriorStack.positions``; ``cols``, when given, are
+    the columns it returned for ``node`` in ``run``, which are then not
+    looked up again (``ingest`` checks a whole round's labels at once).
 
     Raises ``DegenerateVarianceError`` when nu_l is at most
     ``DEGENERATE_VARIANCE_EPS`` under any of the run's models: the node is
@@ -448,11 +481,11 @@ def rank_one_condition(
     conditional mean.
     """
     post = PosteriorStack([state]) if isinstance(state, ConditionalState) else state
-    pos = post.positions(run, np.atleast_1d(node))
+    pos = post.positions(run, np.atleast_1d(node)) if cols is None else cols
     values = np.atleast_1d(np.asarray(value, dtype=float))
     if pos.shape != values.shape or pos.ndim != 1:
         raise ValueError("node and value must have the same length")
-    labels = post.labels[run, pos].tolist()
+    labels = post.labels[run][pos].tolist()
     vals = values.tolist()
     _fold(post.cov[run], post.mean[run], pos, vals, labels, absorb_degenerate)
     post._observe(run, pos, labels, vals)

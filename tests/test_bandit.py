@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gdas.bandit import (
+    BanditState,
     cost_ratio,
     new_bandit_state,
     prediction_error_terms,
@@ -157,6 +158,25 @@ class TestSelectModel:
         freqs = [(draws == m).mean() for m in (1, 2, 3)]
         assert freqs[0] == max(freqs)
         assert freqs[0] > 0.9
+
+    def test_draw_equals_generator_choice(self):
+        # The softmax draw is Generator.choice's, and leaves the stream where
+        # choice leaves it, whatever the probabilities: spread, tied, or near
+        # one-hot (low temperatures push all but one weight to ~1e-300 or 0).
+        gen = np.random.default_rng(20261019)
+        for seed in range(3000):
+            arms = int(gen.integers(2, 6))
+            count = gen.integers(1, 20, size=arms)
+            if seed % 3:
+                means = gen.exponential(1.0, arms)
+            else:
+                means = gen.choice([0.0, 1.0, 2.0], size=arms)
+            tau = float(10.0 ** gen.uniform(-3.0, 1.0))
+            state = BanditState(arms, means * count, count, tau)
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = int(theirs.choice(arms, p=softmax_probs(state))) + 1
+            assert select_model(state, arms, ours) == want
+            assert ours.random() == theirs.random()
 
 
 class TestUpdateAndHistory:

@@ -460,6 +460,27 @@ class TestIngest:
         st = ingest(st, {1: 0.5})
         assert st.mse_theory == pytest.approx(0.0975, abs=1e-12)
 
+    def test_a_bad_entry_in_any_run_leaves_every_run_as_it_was(self):
+        # The whole round is checked before the first fold: a bad label or
+        # value in a later run raises, and no run has been folded.
+        post = initial_state([build_ar1_model(10, 0.95)], np.zeros((2, 10)))
+        ingest(post, {1: {5: 0.2}})
+        before = [a.copy() for a in (post.cov, post.mean, post.labels, post.where)]
+        logs = [list(post.observed[0]), list(post.observed[1])]
+        bad = [
+            ({1: {99: 0.1}}, "not a valid label"),
+            ({1: {5: 0.3}}, "already observed"),
+            ({1: {2.5: 0.3}}, "must be an integer"),
+            ({1: {3: "x"}}, "could not convert"),
+        ]
+        for later, match in bad:
+            with pytest.raises(ValueError, match=match):
+                ingest(post, {0: {1: 0.5, 2: 0.1}, **later})
+            assert post.unknown == [10, 9]
+            assert [post.observed[0], post.observed[1]] == logs
+            for a, b in zip((post.cov, post.mean, post.labels, post.where), before):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_known_node_rejected(self):
         st = ingest(initial_state(build_ar1_model(3, 0.5)), {2: 0.0})
         with pytest.raises(ValueError, match="already observed"):

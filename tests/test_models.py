@@ -1,5 +1,8 @@
 """Gaussian models, conditioning, and the candidate-model family."""
 
+import copy
+import functools
+import operator
 import re
 
 import numpy as np
@@ -203,6 +206,26 @@ class TestRankOneCondition:
         with pytest.raises(ValueError, match="duplicate"):
             rank_one_condition(state, [3, 1, 3], [0.0, 0.0, 0.0])
 
+    def test_positions_with_one_run_per_label(self):
+        # A label may repeat across runs, not within one; each run's labels
+        # are checked against that run alone.
+        post = initial_state([build_ar1_model(6, 0.5)], np.zeros((3, 6)))
+        rank_one_condition(post, [2], [0.0], run=1)
+        runs, labels = [0, 1, 1, 2, 0], [3, 3, 1, 6, 2]
+        want = [int(post.positions(r, [n])[0]) for r, n in zip(runs, labels)]
+        assert post.positions(runs, labels).tolist() == want
+        with pytest.raises(ValueError, match="duplicate"):
+            post.positions([0, 1, 0], [3, 3, 3])
+        for label in (2, 0, 7, -1, 99):
+            with pytest.raises(ValueError, match=f"node {label} is not in the unknown set"):
+                post.positions([2, 1], [1, label])
+
+
+def left_to_right(values):
+    """Sum of ``values`` in order, one rounding per term.  The builtin
+    ``sum`` is compensated from Python 3.12 on, so it is no such reference."""
+    return functools.reduce(operator.add, values, 0.0)
+
 
 def cho_solve_oracle(model, idx, vals):
     """Posterior mean and covariance from two ``scipy.linalg.cho_solve`` calls."""
@@ -340,7 +363,10 @@ class TestOracleAccuracy:
                     np.testing.assert_array_equal(post.labels[b, cols], chain.unknown_idx)
                     np.testing.assert_array_equal(post.mean[b, a, cols], chain.cond_mean)
                     np.testing.assert_array_equal(post.cov[b, a][np.ix_(cols, cols)], chain.cond_cov)
-                    assert post.mse_theory(b, a) == float(np.trace(chain.cond_cov))
+                    # A readout sums left to right; np.trace sums pairwise.
+                    trace = left_to_right(np.diagonal(chain.cond_cov).tolist())
+                    assert post.mse_theory(b, a) == trace
+                    assert trace == pytest.approx(float(np.trace(chain.cond_cov)), rel=1e-14)
                     view = post.cond(b, a)
                     assert view.known_idx == chain.known_idx
                     np.testing.assert_array_equal(view.known_vals, chain.known_vals)
@@ -560,3 +586,90 @@ class TestModelFamily:
     def test_k_too_small_rejected(self):
         with pytest.raises(ValueError, match="K must be >="):
             build_model_family(6)
+
+
+def spread(post, rng, padding):
+    """A copy of ``post`` with each run's columns moved to random ascending
+    columns among ``padding`` extra zero columns; only its readouts are used."""
+    B, M, n = post.mean.shape
+    width = n + padding
+    wide = copy.copy(post)
+    wide.cov = np.zeros((B, M, width, width))
+    wide.mean = np.zeros((B, M, width))
+    wide.labels = np.zeros((B, width), dtype=np.int64)
+    for b in range(B):
+        cols = post.columns(b)
+        new = np.sort(rng.choice(width, size=cols.shape[0], replace=False))
+        wide.cov[b][:, new[:, None], new] = post.cov[b][:, cols[:, None], cols]
+        wide.mean[b][:, new] = post.mean[b][:, cols]
+        wide.labels[b, new] = post.labels[b, cols]
+    return wide
+
+
+class TestReadouts:
+    @staticmethod
+    def assert_readouts(post, x, rng):
+        """Block readouts equal one-run readouts bit for bit, and both equal
+        a left-to-right sum over the run's compact posterior."""
+        B, M = post.mean.shape[:2]
+        runs = rng.permutation(B)[: int(rng.integers(1, B + 1))].tolist()
+        for a in range(M):
+            mse, sqerr = post.mse_theory(runs, a), post.sqerr_actual(runs, a)
+            assert mse.shape == sqerr.shape == (len(runs),)
+            for j, b in enumerate(runs):
+                one_mse, one_sqerr = post.mse_theory(b, a), post.sqerr_actual(b, a)
+                assert type(one_mse) is float and type(one_sqerr) is float
+                assert one_mse == mse[j]
+                view = post.cond(b, a)
+                assert one_mse == left_to_right(np.diagonal(view.cond_cov).tolist())
+                if x is None:
+                    assert np.isnan(one_sqerr) and np.isnan(sqerr[j])
+                else:
+                    assert one_sqerr == sqerr[j]
+                    err = (x[b, view.unknown_idx - 1] - view.cond_mean).tolist()
+                    assert one_sqerr == left_to_right([e * e for e in err])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_block_readouts_match_one_run_and_left_to_right_sums(self, data):
+        """Through rounds of random deliveries, compactions included, down to
+        width 0 once every node is known; also on a copy of the stack with
+        random padding between each run's columns."""
+        k = data.draw(st.integers(1, 60), label="K")
+        runs = data.draw(st.integers(1, 5), label="runs")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        models = [random_psd_model(rng, k) for _ in range(data.draw(st.integers(1, 3)))]
+        x = np.stack([model_draw(models[0], rng) for _ in range(runs)])
+        post = initial_state(models, x)
+        order = [rng.permutation(k) + 1 for _ in range(runs)]
+        done = [0] * runs
+        while True:
+            self.assert_readouts(post, x, rng)
+            wide = spread(post, rng, int(rng.integers(0, 30)))
+            every = list(range(runs))
+            for a in range(len(models)):
+                for readout in ("mse_theory", "sqerr_actual"):
+                    ours = getattr(post, readout)(every, a)
+                    assert ours.tobytes() == getattr(wide, readout)(every, a).tobytes()
+            if min(done) == k:
+                break
+            slots = {}
+            for b in range(runs):
+                nodes = order[b][done[b] : done[b] + int(rng.integers(0, 6))]
+                done[b] += nodes.shape[0]
+                slots[b] = {int(v): float(x[b, v - 1]) for v in nodes}
+            ingest(post, slots)
+        assert post.cov.shape[-1] == 0
+        assert post.mse_theory(every).tolist() == [0.0] * runs
+        assert post.sqerr_actual(every).tolist() == [0.0] * runs
+
+    def test_without_targets_squared_error_is_nan(self, rng):
+        model = random_psd_model(rng, 6)
+        post = PosteriorStack([condition(model, [], [])])
+        self.assert_readouts(post, None, rng)
+        rank_one_condition(post, [2, 5], [0.1, -0.3])
+        self.assert_readouts(post, None, rng)
+        rank_one_condition(post, [1, 3, 4, 6], [0.0] * 4)
+        post.compact()
+        assert post.cov.shape[-1] == 0
+        self.assert_readouts(post, None, rng)
