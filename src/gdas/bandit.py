@@ -10,7 +10,7 @@ gathered it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +23,9 @@ from .models import ConditionalState, PosteriorStack
 DEGENERATE_COST_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass
 class BanditState:
-    """Per-arm cost accumulators."""
+    """Per-arm cost accumulators; ``update`` adds to them in place."""
 
     arms: int
     cost_sum: np.ndarray
@@ -33,12 +33,13 @@ class BanditState:
     tau: float
 
     def __post_init__(self) -> None:
-        cost_sum = np.asarray(self.cost_sum, dtype=float)
-        count = np.asarray(self.count, dtype=np.int64)
+        # Copies: ``update`` adds to them in place.
+        cost_sum = np.array(self.cost_sum, dtype=float)
+        count = np.array(self.count, dtype=np.int64)
         if cost_sum.shape != (self.arms,) or count.shape != (self.arms,):
             raise ValueError("cost_sum and count must have one entry per arm")
-        object.__setattr__(self, "cost_sum", cost_sum)
-        object.__setattr__(self, "count", count)
+        self.cost_sum = cost_sum
+        self.count = count
 
 
 def new_bandit_state(arms: int, tau: float) -> BanditState:
@@ -139,14 +140,13 @@ def select_model(state: BanditState, t: int, rng: np.random.Generator) -> int:
 
 
 def update(state: BanditState, m: int, cost: float) -> BanditState:
-    """Add one cost sample to arm ``m``; all other arms are untouched."""
+    """Add one cost sample to arm ``m`` in place and return ``state``; all
+    other arms are untouched."""
     if not 1 <= m <= state.arms:
         raise ValueError(f"model label must lie in 1..{state.arms}")
     cost = float(cost)
     if not cost >= 0.0:
         raise ValueError("cost must be >= 0")
-    cost_sum = state.cost_sum.copy()
-    count = state.count.copy()
-    cost_sum[m - 1] += cost
-    count[m - 1] += 1
-    return replace(state, cost_sum=cost_sum, count=count)
+    state.cost_sum[m - 1] += cost
+    state.count[m - 1] += 1
+    return state

@@ -6,6 +6,9 @@ One assignment per line, ``#`` comments, keys matching Scenario fields::
     K = 100
     p = 0.2
     kbar = 75
+
+The upload probability is given only as ``p``; ``gdas.uploading_probability``
+turns a fading model into it.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ def parse_scenario_text(text: str) -> Scenario:
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key_raw!r}")
         values[key] = _coerce(key, val_raw, lineno)
-    # p defaults to 0.2 in Scenario; configs that switch to the physical
-    # triple clear it.
-    if "p" not in values and any(k in values for k in ("snr_threshold", "snr_avg", "availability")):
-        values["p"] = None
     return Scenario(**values)
 
 

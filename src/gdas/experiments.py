@@ -21,7 +21,6 @@ from .access import (
     mean_rounds_bound,
     polling_round,
     request_count,
-    uploading_probability,
 )
 from .bandit import (
     BanditState,
@@ -61,16 +60,18 @@ BLOCK_BYTES = 3 << 20
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a simulation needs; the seed pins the full output."""
+    """Everything a simulation needs; the seed pins the full output.
+
+    ``p`` is the probability that a requested node uploads in a round, the
+    one number the channel model reduces fading and missing data to;
+    ``access.uploading_probability`` computes it from a fading model.
+    """
 
     K: int = 100
     rho: float = 0.95
     N: int = 4
     mode: str = "aloha"
-    p: float | None = 0.2
-    snr_threshold: float | None = None
-    snr_avg: float | None = None
-    availability: float | None = None
+    p: float = 0.2
     q_policy: str = "optimal"
     kbar: int | None = None
     T: int | None = None
@@ -91,17 +92,8 @@ class Scenario:
             raise ValueError("rho must lie in (-1, 1)")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        physical = (self.snr_threshold, self.snr_avg, self.availability)
-        if self.p is None:
-            if any(v is None for v in physical):
-                raise ValueError("give either p or all of snr_threshold/snr_avg/availability")
-            if not 0.0 < uploading_probability(*physical) <= 1.0:
-                raise ValueError("snr_threshold/snr_avg/availability must give p in (0, 1]")
-        else:
-            if any(v is not None for v in physical):
-                raise ValueError("give either p or the physical triple, not both")
-            if not 0.0 < self.p <= 1.0:
-                raise ValueError("p must lie in (0, 1]")
+        if not 0.0 < self.p <= 1.0:
+            raise ValueError("p must lie in (0, 1]")
         if not (self.q_policy in ("optimal", "topq") or _fixed_q(self.q_policy) is not None):
             raise ValueError("q_policy must be 'optimal', 'topq' or 'fixed:<n>'")
         if self.kbar is not None and not 1 <= self.kbar <= self.K:
@@ -128,12 +120,6 @@ class Scenario:
             raise ValueError("K is too small for the model family")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    @property
-    def upload_p(self) -> float:
-        if self.p is not None:
-            return float(self.p)
-        return uploading_probability(self.snr_threshold, self.snr_avg, self.availability)
 
     @property
     def rounds_limit(self) -> int:
@@ -235,7 +221,7 @@ class RunResult:
     def bounds(self) -> dict[str, float | bool]:
         """Closed forms at the first round's request count under ``q_policy``."""
         s = self.scenario
-        p = s.upload_p
+        p = s.p
         fixed = _fixed_q(s.q_policy)
         polled = request_count("polling", s.N, p, s.K, fixed)
         q = request_count("aloha", s.N, p, s.K, fixed)
@@ -327,7 +313,7 @@ def _run_block(
     alone: ``ingest`` gets the runs that received something, and a run that
     has stopped stays in the stack as it was.
     """
-    p = scenario.upload_p
+    p = scenario.p
     N = scenario.N
     fixed = _fixed_q(scenario.q_policy)
     kbar = scenario.stop_threshold
@@ -440,21 +426,11 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
     if param == "N" and any(float(v) != int(v) for v in values):
         raise ValueError(f"N values must be integers, got {list(values)}")
     horizon = scenario.T if scenario.T is not None else 75
+    kind = float if param == "p" else int
 
     points: list[SweepPoint] = []
     for value in values:
-        if param == "p":
-            base = replace(
-                scenario,
-                p=float(value),
-                snr_threshold=None,
-                snr_avg=None,
-                availability=None,
-                kbar=scenario.K,
-                T=horizon,
-            )
-        else:
-            base = replace(scenario, N=int(value), kbar=scenario.K, T=horizon)
+        base = replace(scenario, **{param: kind(value)}, kbar=scenario.K, T=horizon)
         finals: dict[str, tuple[float, float]] = {}
         for mode in ("polling", "aloha"):
             res = run_scenario(replace(base, mode=mode))
@@ -471,7 +447,7 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
                 aloha_mse=finals["aloha"][0],
                 aloha_sqerr=finals["aloha"][1],
                 aloha_better=finals["aloha"][0] < finals["polling"][0],
-                aloha_favored_predicted=crossover_check(base.upload_p),
+                aloha_favored_predicted=crossover_check(base.p),
             )
         )
     return SweepResult(scenario, param, points)
@@ -502,7 +478,9 @@ def run_bandit_scenario(scenario: Scenario) -> BanditResult:
     """
     if scenario.mode != "bandit":
         raise ValueError("run_bandit_scenario needs mode='bandit'")
-    family = build_model_family(scenario.K, scenario.family_J, scenario.family_noise)
+    family = build_model_family(
+        scenario.K, scenario.family_J, scenario.family_noise, scenario.rho
+    )
     models = family[: scenario.M]
     return BanditResult(scenario, *_run_all(scenario, models, scenario.true_model - 1))
 
@@ -554,7 +532,7 @@ def _scenario_tag(s: Scenario) -> str:
         f"K={s.K}",
         f"rho={_fmt(s.rho)}",
         f"N={s.N}",
-        f"p={_fmt(s.upload_p)}",
+        f"p={_fmt(s.p)}",
         f"q_policy={s.q_policy}",
         f"kbar={s.stop_threshold}",
         f"T={s.rounds_limit}",

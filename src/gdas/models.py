@@ -523,10 +523,12 @@ def dct_matrix(K: int) -> np.ndarray:
     return mat
 
 
-def build_model_family(K: int, J: int = 3, noise: float = 0.1) -> list[GaussianModel]:
+def build_model_family(
+    K: int, J: int = 3, noise: float = 0.1, rho: float = 0.95
+) -> list[GaussianModel]:
     """The five candidate models used throughout the experiments.
 
-    Model 1 is ``build_ar1_model(K, 0.95)``.  Models 2..5 keep sinusoidal or
+    Model 1 is ``build_ar1_model(K, rho)``.  Models 2..5 keep sinusoidal or
     zero means and use low-rank covariances built from J consecutive columns
     of the orthonormal DCT basis (columns m-1 .. J+m-2, 1-based, for model m)
     plus a ``noise``-level identity floor, scaled so that every covariance
@@ -539,7 +541,7 @@ def build_model_family(K: int, J: int = 3, noise: float = 0.1) -> list[GaussianM
     if K < J + FAMILY_SIZE - 1:
         raise ValueError(f"K must be >= {J + FAMILY_SIZE - 1} for a family of {FAMILY_SIZE}")
 
-    models = [build_ar1_model(K, 0.95)]
+    models = [build_ar1_model(K, rho)]
     k = np.arange(1, K + 1)
     phase = np.pi * (k - 1) / 5.0
     means = [np.sin(phase), -np.cos(phase), -np.sin(phase), np.zeros(K)]

@@ -22,7 +22,7 @@ from .access import aloha_round, delivered_law, expected_successes, stop_round_m
 from .bandit import cost_ratio, new_bandit_state, prediction_error_terms, softmax_probs, update
 from .engine import TIE_TOLERANCE, ingest, initial_state, polling_order, select_nodes
 from .experiments import BanditResult, RunResult, SweepPoint, SweepResult
-from .experiments import run_bandit_scenario, run_scenario, sweep
+from .experiments import _sampler, run_bandit_scenario, run_scenario, sweep
 from .models import GaussianModel, build_ar1_model, condition, rank_one_condition
 from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS
 
@@ -113,7 +113,7 @@ def _exact_stop_round(res: RunResult) -> str:
     """The exact mean stop round of ``res``'s scenario and the z-score of its
     sample mean, in standard errors of the mean over the runs that stopped."""
     s = res.scenario
-    mean, sd = stop_round_moments(s.mode, s.K, s.N, s.upload_p, s.stop_threshold)
+    mean, sd = stop_round_moments(s.mode, s.K, s.N, s.p, s.stop_threshold)
     reached = [r for r in res.stop_rounds if r is not None]
     se = sd / math.sqrt(len(reached)) if reached else math.nan
     return f" (exact {mean:.4f}, z {(res.mean_stop_round - mean) / se:+.2f})"
@@ -353,9 +353,9 @@ def check_polling_order(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     if sorted(base) != list(range(1, 101)):
         return False, "order is not a permutation"
     rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(model.cov)
+    draw = _sampler(model)
     for _ in range(100):
-        x = model.mean + chol @ rng.standard_normal(100)
+        x = draw(rng)
         st = initial_state(model, x)
         seq = []
         for _ in range(100):
@@ -458,7 +458,7 @@ def check_bandit_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     # Mean normalized true-model cost over 1e4 simulated delivery rounds.
     rng = np.random.default_rng(seed + 2)
     model = build_ar1_model(100, 0.95)
-    chol = np.linalg.cholesky(model.cov)
+    draw = _sampler(model)
     total = 0.0
     n_samples = 0
     for _ in range(1000):
@@ -468,7 +468,7 @@ def check_bandit_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         n_del = int(rng.integers(1, 4))
         delivered = [int(n) for n in perm[n_known : n_known + n_del]]
         for _ in range(10):
-            x = model.mean + chol @ rng.standard_normal(100)
+            x = draw(rng)
             cond = condition(model, known, [float(x[n - 1]) for n in known])
             vals = [float(x[n - 1]) for n in delivered]
             total += cost_ratio(*prediction_error_terms(cond, delivered, vals))

@@ -194,10 +194,20 @@ class TestUpdateAndHistory:
 
     def test_other_arms_untouched(self):
         st = update(new_bandit_state(3, 1.0), 1, 2.0)
-        st2 = update(st, 2, 9.0)
-        assert st2.cost_sum[0] == st.cost_sum[0]
-        assert st2.count[2] == 0
-        assert st2.cost_sum[2] == 0.0
+        st = update(st, 2, 9.0)
+        assert st.cost_sum[0] == 2.0 and st.count[0] == 1
+        assert st.count[2] == 0
+        assert st.cost_sum[2] == 0.0
+
+    def test_adds_in_place(self):
+        st = new_bandit_state(2, 1.0)
+        assert update(st, 2, 1.5) is st
+        assert st.cost_sum.tolist() == [0.0, 1.5] and st.count.tolist() == [0, 1]
+
+    def test_state_owns_its_arrays(self):
+        cost_sum, count = np.zeros(2), np.zeros(2, dtype=np.int64)
+        update(BanditState(2, cost_sum, count, 1.0), 1, 3.0)
+        assert cost_sum.tolist() == [0.0, 0.0] and count.tolist() == [0, 0]
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):

@@ -54,16 +54,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(mode="csma")
 
-    def test_p_and_physical_triple_conflict(self):
-        with pytest.raises(ValueError):
-            Scenario(p=0.2, snr_threshold=1.0, snr_avg=1.0, availability=1.0)
-        with pytest.raises(ValueError):
-            Scenario(p=None)
-
-    def test_physical_triple_resolves_p(self):
-        s = Scenario(p=None, snr_threshold=1.0, snr_avg=1.0, availability=1.0)
-        assert s.upload_p == pytest.approx(math.exp(-1.0))
-
     def test_q_policy_forms(self):
         assert Scenario(q_policy="fixed:7").q_policy == "fixed:7"
         Scenario(q_policy="topq")
@@ -79,11 +69,11 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "overrides, field",
         [
-            (dict(p=None, snr_threshold=1.0, snr_avg=1.0, availability=0.0), "availability"),
-            (dict(p=None, snr_threshold=math.inf, snr_avg=1.0, availability=1.0), "snr_threshold"),
-            (dict(p=None, snr_threshold=math.nan, snr_avg=1.0, availability=1.0), "snr_threshold"),
-            (dict(p=None, snr_threshold=1.0, snr_avg=math.nan, availability=1.0), "snr_avg"),
-            (dict(p=None, snr_threshold=math.inf, snr_avg=math.inf, availability=1.0), "snr_avg"),
+            (dict(p=0.0), "p must"),
+            (dict(p=-0.2), "p must"),
+            (dict(p=1.5), "p must"),
+            (dict(p=math.nan), "p must"),
+            (dict(p=math.inf), "p must"),
             (dict(tau=math.nan), "tau"),
             (dict(tau=math.inf), "tau"),
             (dict(family_noise=math.nan), "family_noise"),
@@ -212,7 +202,7 @@ def replay_run(s: Scenario, run: int):
     m = 1 and Y = nan."""
     bandit = s.mode == "bandit"
     if bandit:
-        models = build_model_family(s.K, s.family_J, s.family_noise)[: s.M]
+        models = build_model_family(s.K, s.family_J, s.family_noise, s.rho)[: s.M]
     else:
         models = [build_ar1_model(s.K, s.rho)]
     true = s.true_model - 1 if bandit else 0
@@ -221,7 +211,7 @@ def replay_run(s: Scenario, run: int):
     states = [initial_state(model, x) for model in models]
     bst = new_bandit_state(len(models), s.tau) if bandit else None
     fixed = int(s.q_policy[6:]) if s.q_policy.startswith("fixed:") else None
-    p = s.upload_p
+    p = s.p
     rows = []
     for t in range(s.rounds_limit):
         st = states[true]
@@ -537,7 +527,37 @@ class TestBanditScenario:
             run_bandit_scenario(tiny())
 
 
+# One value off ``tiny``'s for every field the CSV header prints but mode.
+HEADER_MOVES = dict(
+    K=13, rho=0.5, N=3, p=0.7, q_policy="fixed:1", kbar=6, T=3, runs=7,
+    first_round="greedy", seed=100, tau=20.0, M=3, true_model=2, fixed_model=2,
+    family_J=2, family_noise=0.5,
+)
+
+
+def _header_fields(mode):
+    tag = experiments._scenario_tag(tiny(mode=mode))
+    return [item.split("=")[0] for item in tag.split()[1:]]
+
+
+def _round_table(s):
+    return (run_bandit_scenario if s.mode == "bandit" else run_scenario)(s).records
+
+
 class TestCsvOutput:
+    @pytest.mark.parametrize(
+        "mode, field",
+        [(mode, field) for mode in ("polling", "aloha", "bandit") for field in _header_fields(mode)],
+    )
+    def test_every_header_field_changes_the_run(self, mode, field):
+        # A header that reports a field the run ignores misdescribes the table.
+        base = _round_table(tiny(mode=mode))
+        moved = _round_table(tiny(mode=mode, **{field: HEADER_MOVES[field]}))
+        assert not (
+            base.columns == moved.columns
+            and np.array_equal(base.data, moved.data, equal_nan=True)
+        )
+
     def test_rounds_csv_is_bit_identical_across_invocations(self, tmp_path):
         s = tiny()
         paths = []
@@ -597,12 +617,11 @@ class TestConfigFiles:
         again = parse_scenario_text(scenario_to_text(s))
         assert again == s
 
-    def test_physical_triple_clears_default_p(self):
-        s = parse_scenario_text(
-            "snr_threshold = 1.0\nsnr_avg = 2.0\navailability = 0.9\n"
-        )
-        assert s.p is None
-        assert s.upload_p == pytest.approx(0.9 * math.exp(-0.5))
+    @pytest.mark.parametrize("key", ["snr_threshold", "snr_avg", "availability"])
+    def test_physical_triple_keys_rejected(self, key):
+        # The upload probability is given only as p.
+        with pytest.raises(ValueError, match=f"unknown scenario key '{key}'"):
+            parse_scenario_text(f"p = 0.2\n{key} = 1.0\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario key"):

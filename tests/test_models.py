@@ -564,6 +564,9 @@ class TestModelFamily:
         ref = build_ar1_model(50, 0.95)
         np.testing.assert_array_equal(family[0].mean, ref.mean)
         np.testing.assert_array_equal(family[0].cov, ref.cov)
+        np.testing.assert_array_equal(
+            build_model_family(50, rho=0.6)[0].cov, build_ar1_model(50, 0.6).cov
+        )
 
     def test_mean_profiles(self):
         family = build_model_family(20)
