@@ -9,6 +9,7 @@ the selection engine.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -60,32 +61,36 @@ BLOCK_BYTES = 3 << 20
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a simulation needs; the seed pins the full output.
+    """Everything a simulation needs, in CSV-header order; the seed pins the output.
 
     ``p`` is the probability that a requested node uploads in a round, the
     one number the channel model reduces fading and missing data to;
     ``access.uploading_probability`` computes it from a fading model.
     """
 
+    mode: str = "aloha"
     K: int = 100
     rho: float = 0.95
     N: int = 4
-    mode: str = "aloha"
     p: float = 0.2
     q_policy: str = "optimal"
     kbar: int | None = None
     T: int | None = None
     runs: int | None = None
+    first_round: str = "random"
+    seed: int = 12345
     tau: float = 1.0
     M: int = FAMILY_SIZE
     true_model: int = 1
     fixed_model: int | None = None
     family_J: int = 3
     family_noise: float = 0.1
-    first_round: str = "random"
-    seed: int = 12345
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.K < 1 or self.N < 1:
             raise ValueError("K and N must be >= 1")
         if not -1.0 < self.rho < 1.0:
@@ -136,6 +141,19 @@ class Scenario:
     @property
     def stop_threshold(self) -> int:
         return self.kbar if self.kbar is not None else self.K
+
+
+# The values each ``Scenario`` annotation admits; ``bool`` passes both number tests.
+_KINDS = {
+    "int": numbers.Integral,
+    "int | None": (numbers.Integral, type(None)),
+    "float": numbers.Real,
+    "str": str,
+}
+# The fields only bandit runs read; CSV headers print them for bandit runs only.
+_BANDIT_FIELDS = frozenset({"tau", "M", "true_model", "fixed_model", "family_J", "family_noise"})
+# Header fields printed as the property that resolves their default.
+_RESOLVED = {"kbar": "stop_threshold", "T": "rounds_limit", "runs": "run_count"}
 
 
 def _fixed_q(policy: str) -> int | None:
@@ -191,11 +209,19 @@ def _first_request(scenario: Scenario, q: int, rng: np.random.Generator) -> list
 
 @dataclass
 class RunResult:
-    """Round table plus per-run stop rounds for one polling/aloha scenario."""
+    """The scenario that ran and its round table; all else is read off the two."""
 
     scenario: Scenario
     records: Rounds
-    stop_rounds: list[int | None]
+
+    @property
+    def stop_rounds(self) -> list[int | None]:
+        """Each run's stop round: ``t + 1`` of its last row when that round
+        brought it to ``kbar`` measurements, else None (censored at ``T``)."""
+        last = self.records.last_rows()
+        known = self.records["K_t"][last] + self.records["delivered"][last]
+        reached = known >= self.scenario.stop_threshold
+        return [int(t) + 1 if r else None for t, r in zip(self.records["t"][last], reached)]
 
     @property
     def censored_runs(self) -> int:
@@ -204,9 +230,7 @@ class RunResult:
     @property
     def mean_stop_round(self) -> float:
         reached = [s for s in self.stop_rounds if s is not None]
-        if not reached:
-            return float("nan")
-        return float(np.mean(reached))
+        return float(np.mean(reached)) if reached else float("nan")
 
     def final_mse_by_run(self) -> np.ndarray:
         """Last recorded conditional MSE of each run (its value at any later round)."""
@@ -221,19 +245,16 @@ class RunResult:
     def bounds(self) -> dict[str, float | bool]:
         """Closed forms at the first round's request count under ``q_policy``."""
         s = self.scenario
-        p = s.p
         fixed = _fixed_q(s.q_policy)
-        polled = request_count("polling", s.N, p, s.K, fixed)
-        q = request_count("aloha", s.N, p, s.K, fixed)
+        polled = request_count("polling", s.N, s.p, s.K, fixed)
+        q = request_count("aloha", s.N, s.p, s.K, fixed)
         return {
-            "expected_polling": expected_successes("polling", s.N, p, polled),
-            "expected_aloha": expected_successes("aloha", s.N, p, q),
-            "rounds_polling": mean_rounds_bound("polling", s.stop_threshold, s.N, p, polled),
-            "rounds_aloha": mean_rounds_bound("aloha", s.stop_threshold, s.N, p, q),
-            "rounds_aloha_approx": mean_rounds_bound(
-                "aloha-approx", s.stop_threshold, s.N, p
-            ),
-            "aloha_favored": crossover_check(p),
+            "expected_polling": expected_successes("polling", s.N, s.p, polled),
+            "expected_aloha": expected_successes("aloha", s.N, s.p, q),
+            "rounds_polling": mean_rounds_bound("polling", s.stop_threshold, s.N, s.p, polled),
+            "rounds_aloha": mean_rounds_bound("aloha", s.stop_threshold, s.N, s.p, q),
+            "rounds_aloha_approx": mean_rounds_bound("aloha-approx", s.stop_threshold, s.N, s.p),
+            "aloha_favored": crossover_check(s.p),
         }
 
 
@@ -251,13 +272,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
     if scenario.mode not in ("polling", "aloha"):
         raise ValueError("run_scenario handles polling/aloha; use run_bandit_scenario")
     model = build_ar1_model(scenario.K, scenario.rho)
-    return RunResult(scenario, *_run_all(scenario, [model], 0))
+    return RunResult(scenario, _run_all(scenario, [model], 0))
 
 
-def _run_all(
-    scenario: Scenario, models: list[GaussianModel], true_idx: int
-) -> tuple[Rounds, list[int | None]]:
-    """Round table and stop rounds of every run of ``scenario``.
+def _run_all(scenario: Scenario, models: list[GaussianModel], true_idx: int) -> Rounds:
+    """Round table of every run of ``scenario``.
 
     Runs advance in lockstep blocks of ``_block_size(K, arms)`` so that one
     ``select_nodes`` call picks for the whole block each round and one
@@ -272,13 +291,10 @@ def _run_all(
     if scenario.mode == "bandit":
         columns += BANDIT_COLUMNS + tuple(f"P_{m}" for m in range(1, len(models) + 1))
     tables: list[np.ndarray] = []
-    stop_rounds: list[int | None] = []
     for first in range(0, runs, block):
-        run_ids = list(range(first, min(first + block, runs)))
-        rows, stops = _run_block(scenario, models, true_idx, draw, run_ids)
+        rows = _run_block(scenario, models, true_idx, draw, range(first, min(first + block, runs)))
         tables.append(np.array(rows, dtype=float).reshape(-1, len(columns)))
-        stop_rounds += stops
-    return Rounds(columns, np.concatenate(tables)), stop_rounds
+    return Rounds(columns, np.concatenate(tables))
 
 
 def _one_hot(arms: int, m: int) -> tuple[float, ...]:
@@ -302,9 +318,9 @@ def _run_block(
     models: list[GaussianModel],
     true_idx: int,
     draw: Callable[[np.random.Generator], np.ndarray],
-    run_ids: list[int],
-) -> tuple[list[tuple], list[int | None]]:
-    """Round-table rows in (run, t) order and stop rounds of the runs ``run_ids``.
+    run_ids: Sequence[int],
+) -> list[tuple]:
+    """Round-table rows of the runs ``run_ids``, in (run, t) order.
 
     The block's runs share one posterior stack that holds each run's
     posterior under every arm, all fed the same deliveries: polling and
@@ -328,7 +344,6 @@ def _run_block(
     arm = [1] * len(run_ids)
     probs: list[tuple[float, ...] | None] = [None] * len(run_ids)
     run_rows: list[list[tuple]] = [[] for _ in run_ids]
-    stops: list[int | None] = [None] * len(run_ids)
     # Each run's last (arm, picks), kept while its rounds deliver nothing:
     # that arm's posterior and the request count, and so its picks, are
     # then unchanged.
@@ -386,12 +401,10 @@ def _run_block(
             run_rows[i].append(
                 (run_ids[i], t, known_before, mse, sqerr, n_delivered, n_collided, *extra)
             )
-            if post.K - post.unknown[i] >= kbar:
-                stops[i] = t + 1
-            else:
+            if post.K - post.unknown[i] < kbar:
                 still.append(i)
         active = still
-    return [row for rows in run_rows for row in rows], stops
+    return [row for rows in run_rows for row in rows]
 
 
 @dataclass(frozen=True)
@@ -417,7 +430,8 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
     """Final MSE after a fixed horizon, for both access modes, per value.
 
     Runs never stop early on a measurement count here (kbar is forced to K),
-    matching the fixed-horizon reading of the comparison figures.
+    matching the fixed-horizon reading of the comparison figures; ``T``
+    defaults to 75.  The result holds the scenario the runs used.
     """
     if param not in ("p", "N"):
         raise ValueError("param must be 'p' or 'N'")
@@ -425,12 +439,12 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
         raise ValueError("values must be non-empty")
     if param == "N" and any(float(v) != int(v) for v in values):
         raise ValueError(f"N values must be integers, got {list(values)}")
-    horizon = scenario.T if scenario.T is not None else 75
+    ran = replace(scenario, kbar=scenario.K, T=scenario.T if scenario.T is not None else 75)
     kind = float if param == "p" else int
 
     points: list[SweepPoint] = []
     for value in values:
-        base = replace(scenario, **{param: kind(value)}, kbar=scenario.K, T=horizon)
+        base = replace(ran, **{param: kind(value)})
         finals: dict[str, tuple[float, float]] = {}
         for mode in ("polling", "aloha"):
             res = run_scenario(replace(base, mode=mode))
@@ -450,19 +464,14 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
                 aloha_favored_predicted=crossover_check(base.p),
             )
         )
-    return SweepResult(scenario, param, points)
+    return SweepResult(ran, param, points)
 
 
-@dataclass
-class BanditResult:
-    """Round table plus stop rounds for a model-selection scenario."""
+class BanditResult(RunResult):
+    """A model-selection scenario and its round table."""
 
-    scenario: Scenario
-    records: Rounds
-    stop_rounds: list[int | None]
-
-    def summary_rows(self) -> Rounds:
-        return _per_round_summary(self.records)
+    # Its own entry, so that wrapping ``vars(BanditResult)`` times bandit summaries apart.
+    summary_rows = RunResult.summary_rows
 
 
 def run_bandit_scenario(scenario: Scenario) -> BanditResult:
@@ -482,7 +491,7 @@ def run_bandit_scenario(scenario: Scenario) -> BanditResult:
         scenario.K, scenario.family_J, scenario.family_noise, scenario.rho
     )
     models = family[: scenario.M]
-    return BanditResult(scenario, *_run_all(scenario, models, scenario.true_model - 1))
+    return BanditResult(scenario, _run_all(scenario, models, scenario.true_model - 1))
 
 
 def _nanmean(values: np.ndarray) -> float:
@@ -527,29 +536,19 @@ def _fmt(value) -> str:
 
 
 def _scenario_tag(s: Scenario) -> str:
-    fields = [
-        f"mode={s.mode}",
-        f"K={s.K}",
-        f"rho={_fmt(s.rho)}",
-        f"N={s.N}",
-        f"p={_fmt(s.p)}",
-        f"q_policy={s.q_policy}",
-        f"kbar={s.stop_threshold}",
-        f"T={s.rounds_limit}",
-        f"runs={s.run_count}",
-        f"first_round={s.first_round}",
-        f"seed={s.seed}",
-    ]
-    if s.mode == "bandit":
-        fields += [
-            f"tau={_fmt(s.tau)}",
-            f"M={s.M}",
-            f"true_model={s.true_model}",
-            f"fixed_model={s.fixed_model if s.fixed_model is not None else 'none'}",
-            f"family_J={s.family_J}",
-            f"family_noise={_fmt(s.family_noise)}",
-        ]
-    return " ".join(fields)
+    """``Scenario``'s fields in declaration order, as the runs use them: ``kbar``,
+    ``T`` and ``runs`` resolved, the bandit-only fields for bandit runs only."""
+    items = []
+    for f in fields(Scenario):
+        if f.name in _BANDIT_FIELDS and s.mode != "bandit":
+            continue
+        value = getattr(s, _RESOLVED.get(f.name, f.name))
+        if value is None:
+            value = "none"
+        elif f.type == "float":
+            value = _fmt(value)
+        items.append(f"{f.name}={value}")
+    return " ".join(items)
 
 
 def _write_table(path, comment: str, table: Rounds) -> None:
@@ -560,15 +559,15 @@ def _write_table(path, comment: str, table: Rounds) -> None:
         np.savetxt(fh, table.data, fmt="%.9g", delimiter=",")
 
 
-def write_rounds_csv(path, result: RunResult | BanditResult) -> None:
+def write_rounds_csv(path, result: RunResult) -> None:
     """The round table under its column names."""
     _write_table(path, f"{ROUNDS_SCHEMA} {_scenario_tag(result.scenario)}", result.records)
 
 
-def write_summary_csv(path, result: RunResult | BanditResult) -> None:
+def write_summary_csv(path, result: RunResult) -> None:
     """The per-round summary; polling/ALOHA headers add bounds and stop rounds."""
     comment = f"{SUMMARY_SCHEMA} {_scenario_tag(result.scenario)}"
-    if isinstance(result, RunResult):
+    if result.scenario.mode != "bandit":
         parts = [f"{k}={_fmt(v)}" for k, v in result.bounds().items()]
         parts.append(f"mean_stop_round={_fmt(result.mean_stop_round)}")
         parts.append(f"censored_runs={result.censored_runs}")

@@ -2,7 +2,7 @@
 
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gdas.cli as cli
 import gdas.experiments as experiments
 from gdas.access import aloha_round, expected_successes, optimal_q, polling_round
 from gdas.bandit import new_bandit_state, prediction_error_terms, select_model, update
@@ -78,6 +79,16 @@ class TestScenarioValidation:
             (dict(tau=math.inf), "tau"),
             (dict(family_noise=math.nan), "family_noise"),
             (dict(family_noise=math.inf), "family_noise"),
+            # Values of the wrong type: seed=1.5 ran as seed 1 and N=True as
+            # N=1 under a header that printed the given value.
+            (dict(seed=1.5), "seed must be of type int"),
+            (dict(N=True), "N must be of type int"),
+            (dict(K=12.5), "K must be of type int"),
+            (dict(kbar=5.0), "kbar must be of type int"),
+            (dict(p=None), "p must be of type float"),
+            (dict(rho=None), "rho must be of type float"),
+            (dict(tau=True), "tau must be of type float"),
+            (dict(q_policy=1), "q_policy must be of type str"),
         ],
     )
     def test_rejects_inputs_a_run_cannot_use(self, overrides, field):
@@ -85,6 +96,12 @@ class TestScenarioValidation:
         # with T <= M) never fail and write tau=nan into the CSV header.
         with pytest.raises(ValueError, match=field):
             Scenario(mode="bandit", **overrides)
+
+    def test_numpy_numbers_and_none_where_annotated(self):
+        s = Scenario(K=np.int64(12), p=np.float64(0.5), rho=0, kbar=None)
+        assert s.K == 12 and s.stop_threshold == 12
+        with pytest.raises(ValueError, match="K must be of type int"):
+            Scenario(K=None)
 
 
 class TestRunScenario:
@@ -102,6 +119,19 @@ class TestRunScenario:
             reached = np.flatnonzero(cum >= 9)
             want = int(reached[0]) + 1 if reached.size else None
             assert res.stop_rounds[run] == want
+
+    @pytest.mark.parametrize("T, stop", [(5, 5), (4, None)])
+    def test_kbar_in_the_last_allowed_round_is_a_stop(self, T, stop):
+        # One certain delivery a round: the fifth round brings kbar = 5.
+        res = run_scenario(tiny(mode="polling", p=1.0, N=1, kbar=5, T=T, runs=3))
+        assert res.stop_rounds == [stop] * 3
+        assert res.censored_runs == (3 if stop is None else 0)
+
+    def test_a_result_is_its_scenario_and_round_table(self):
+        assert [f.name for f in fields(experiments.RunResult)] == ["scenario", "records"]
+        assert fields(experiments.BanditResult) == fields(experiments.RunResult)
+        # The per-mode summary timer wraps the class's own entry.
+        assert "summary_rows" in vars(experiments.BanditResult)
 
     def test_known_count_is_monotone(self):
         res = run_scenario(tiny())
@@ -588,6 +618,17 @@ class TestCsvOutput:
         write_rounds_csv(path, run_bandit_scenario(s))
         header = path.read_text().splitlines()[1]
         assert header.endswith("m,Y,sqerr_delivered,mse_delivered_true,P_1,P_2,P_3,P_4,P_5")
+
+    def test_sweep_header_states_the_run_scenario(self, tmp_path):
+        # sweep runs to a fixed horizon: kbar = K, and T = 75 when unset.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("mode = aloha\nK = 12\nN = 2\np = 0.4\nkbar = 5\nruns = 2\nseed = 3\n")
+        out = tmp_path / "out"
+        assert cli.main(
+            ["sweep", "--config", str(cfg), "--param", "N", "--values", "1,2", "--out", str(out)]
+        ) == 0
+        head = (out / "sweep_N.csv").read_text().splitlines()[0]
+        assert " K=12 " in head and " kbar=12 T=75 runs=2 " in head
 
     def test_sweep_csv(self, tmp_path):
         table = sweep(tiny(T=5, runs=2), "p", [0.2, 0.5])

@@ -141,7 +141,13 @@ def test_n_sweep_rule_wants_a_strict_decrease_in_each_mode():
 
 def test_rounds_rule_names_windows_and_censored_runs():
     def result(stops):
-        return RunResult(Scenario(), None, stops)
+        # One row per run, its last: a run that stops at round s reaches
+        # kbar = K = 100 in row t = s - 1; a censored run ends short of it.
+        rows = [
+            (run, 119 if s is None else s - 1, 99, 1.0, 1.0, s is not None, 0)
+            for run, s in enumerate(stops)
+        ]
+        return RunResult(Scenario(), Rounds(ROUNDS_COLUMNS, np.array(rows, dtype=float)))
 
     assert validate.rounds_problems({"polling": result([93, 94]), "aloha": result([50])}) == []
     assert validate.rounds_problems({"polling": result([80, 81]), "aloha": result([49, 50])}) == [
@@ -188,7 +194,7 @@ def test_bandit_rules_read_the_summary_columns():
             wrong = 0.5 if t == 3 else 2.0
             rows.append((run, t, 2 * t, 1.0, 1.0, 1, 0, m, np.nan, wrong, 1.0, 0.5, 0.5))
     table = Rounds(ROUNDS_COLUMNS + BANDIT_COLUMNS + ("P_1", "P_2"), np.array(rows, dtype=float))
-    res = BanditResult(Scenario(mode="bandit", M=2, true_model=1), table, [None, None])
+    res = BanditResult(Scenario(mode="bandit", M=2, true_model=1), table)
     assert validate.true_model_leads(res) == {4: 1.0, 5: 0.0}
     assert validate.true_model_freqs(res) == {4: 1.0, 5: 0.5}
     assert validate.lead_problems(res) == ["round 5: true model not leading (lead 0.000)"]
