@@ -42,6 +42,7 @@ CASES: dict[str, list[str]] = {
     "bandit-tau20": ["bandit", "--preset", "bandit-tau20", "--runs", "8"],
     "mismatch": ["bandit", "--preset", "mismatch", "--runs", "8"],
     "aloha-topq": ["run", "--config", str(HERE / "aloha-topq.cfg")],
+    "aloha-greedy": ["run", "--config", str(HERE / "aloha-greedy.cfg")],
     "polling-fixed1": ["run", "--config", str(HERE / "polling-fixed1.cfg")],
     "bandit-fixed1": ["bandit", "--config", str(HERE / "bandit-fixed1.cfg")],
 }
