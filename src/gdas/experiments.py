@@ -4,7 +4,9 @@ A scenario fully determines its output: run r of a scenario draws everything
 from ``default_rng(SeedSequence((seed, r)))``, so repeated invocations are
 bit-identical.  The first round requests uniformly random nodes by default
 (``first_round="greedy"`` switches that off); later rounds always go through
-the selection engine.
+the selection engine.  A round draws its access outcome on request positions
+1..q first, since the draws depend on q alone; greedy picks are a prefix, so
+a run selects only up to its last delivered position.
 """
 
 from __future__ import annotations
@@ -327,7 +329,8 @@ def _run_block(
     ALOHA runs have one arm, bandit runs one per model, and rows report the
     posterior of arm ``true_idx``.  Which runs are in play is decided here
     alone: ``ingest`` gets the runs that received something, and a run that
-    has stopped stays in the stack as it was.
+    has stopped stays in the stack as it was.  A run draws its access round
+    on positions first and selects only up to its last delivered position.
     """
     p = scenario.p
     N = scenario.N
@@ -344,10 +347,6 @@ def _run_block(
     arm = [1] * len(run_ids)
     probs: list[tuple[float, ...] | None] = [None] * len(run_ids)
     run_rows: list[list[tuple]] = [[] for _ in run_ids]
-    # Each run's last (arm, picks), kept while its rounds deliver nothing:
-    # that arm's posterior and the request count, and so its picks, are
-    # then unchanged.
-    last: list[tuple[int, list[int]] | None] = [None] * len(run_ids)
     active = list(range(len(run_ids)))
     for t in range(scenario.rounds_limit):
         if not active:
@@ -355,26 +354,27 @@ def _run_block(
         if bandit:
             for i in active:
                 arm[i], probs[i] = _choose_arm(scenario, bsts[i], t, rngs[i])
-        if t == 0 and random_start:
-            q = request_count(scenario.mode, N, p, post.K, fixed)
-            requests = [_first_request(scenario, q, rngs[i]) for i in active]
-        else:
-            stale = [i for i in active if last[i] is None or last[i][0] != arm[i]]
-            qs = [request_count(scenario.mode, N, p, post.unknown[i], fixed) for i in stale]
-            arms = [arm[i] - 1 for i in stale]
-            for i, picks in zip(stale, select_nodes(post, qs, rule, runs=stale, arms=arms)):
-                last[i] = (arm[i], picks)
-            requests = [last[i][1] for i in active]
+        picks: dict[int, list[int]] = {}
+        outcomes = {}
+        for i in active:
+            q = request_count(scenario.mode, N, p, post.unknown[i], fixed)
+            if t == 0 and random_start:
+                picks[i] = _first_request(scenario, q, rngs[i])
+            outcomes[i] = access(range(1, q + 1), N, p, rngs[i])
+        sent = [i for i in active if outcomes[i].delivered and i not in picks]
+        if sent:
+            needs = [outcomes[i].delivered[-1] for i in sent]
+            arms = [arm[i] - 1 for i in sent]
+            picks.update(zip(sent, select_nodes(post, needs, rule, runs=sent, arms=arms)))
         payloads = {}
         rounds = []
-        for i, requested in zip(active, requests):
+        for i in active:
             m = arm[i]
-            outcome = access(requested, N, p, rngs[i])
+            outcome = outcomes[i]
             x = post.targets[i]
-            delivered = list(outcome.delivered)
+            delivered = [picks[i][pos - 1] for pos in outcome.delivered]
             vals = [float(x[n - 1]) for n in delivered]
             if delivered:
-                last[i] = None
                 payloads[i] = dict(zip(delivered, vals))
             extra = ()
             if bandit:

@@ -299,6 +299,23 @@ class TestKernelAtBenchmarkShapes:
             cond = post.cond(b, arms[b])
             assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, len(picks[b]))
 
+    @pytest.mark.parametrize("rule", ["greedy", "topq"])
+    def test_fewer_picks_are_a_prefix(self, rule):
+        # A round selects each run's picks only up to its last delivered
+        # position, for the runs that received something: the picks must be
+        # the first k_b of those the full count q gives.
+        rng = np.random.default_rng(7)
+        models = build_model_family(100)
+        post = played_stack(models, 19, rng, rounds=4, stopped=(3, 11))
+        q = 20
+        arms = rng.integers(0, len(models), size=19)
+        full = select_nodes(post, q, rule, arms=arms)
+        runs = [b for b in range(19) if b % 4]
+        ks = [q, 1] + rng.integers(1, q + 1, size=len(runs) - 2).tolist()
+        assert len(set(ks)) > 2
+        picks = select_nodes(post, ks, rule, runs=runs, arms=arms[runs])
+        assert picks == [full[b][:k] for b, k in zip(runs, ks)]
+
     @pytest.mark.parametrize("runs", [1, 2])
     def test_k400_q80(self, runs):
         rng = np.random.default_rng(400 + runs)

@@ -296,11 +296,13 @@ class TestBlockLoop:
             dict(mode="aloha"),
             dict(mode="aloha", q_policy="topq"),
             dict(mode="aloha", q_policy="fixed:1", T=25),
+            dict(mode="aloha", first_round="greedy"),
             # kbar = K: the runs' widths diverge and the block's posterior
             # stack compacts several times mid-run.
             dict(mode="polling", kbar=12, T=19),
             dict(mode="aloha", kbar=12, T=19),
             dict(mode="bandit", kbar=12, T=18),
+            dict(mode="bandit", first_round="greedy", kbar=12, T=18),
             # Near rank-3 models: the low-rank arms absorb degenerate nodes
             # inside the stack while the AR(1) arm downdates.  One pick per
             # round: greedy re-scoring past a model's rank ranks rounding
@@ -343,6 +345,46 @@ class TestBlockLoop:
                 np.testing.assert_allclose(
                     [r["Y"] for r in got], [row[5] for row in rows], rtol=1e-12, atol=0.0
                 )
+
+    @pytest.mark.parametrize("first_round", ["random", "greedy"])
+    @pytest.mark.parametrize("mode", ["polling", "aloha", "bandit"])
+    def test_a_round_selects_only_what_it_delivers(self, mode, first_round, monkeypatch):
+        # Each run's access round draws on positions 1..q; select_nodes then
+        # gets only the runs that received something, each with its last
+        # delivered position as its count.  One block: run ids are positions.
+        s = tiny(mode=mode, first_round=first_round, runs=8, T=11)
+        rng_run, outcomes, calls = {}, {}, []
+
+        def tagged_rng(seed, run):
+            rng = _run_rng(seed, run)
+            rng_run[id(rng)] = run
+            return rng
+
+        def logged(access):
+            def round_(requested, n_channels, p, rng):
+                out = access(requested, n_channels, p, rng)
+                assert out.requested == tuple(range(1, len(out.requested) + 1))
+                run = rng_run[id(rng)]
+                if run in outcomes:  # a new round
+                    outcomes.clear()
+                outcomes[run] = out
+                return out
+
+            return round_
+
+        def select_and_check(post, q, rule, *, runs, arms):
+            last = {r: out.delivered[-1] for r, out in outcomes.items() if out.delivered}
+            assert dict(zip(runs, q)) == last
+            calls.append(len(outcomes) - len(runs))
+            return select_nodes(post, q, rule, runs=runs, arms=arms)
+
+        monkeypatch.setattr(experiments, "_run_rng", tagged_rng)
+        monkeypatch.setattr(experiments, "aloha_round", logged(aloha_round))
+        monkeypatch.setattr(experiments, "polling_round", logged(polling_round))
+        monkeypatch.setattr(experiments, "select_nodes", select_and_check)
+        (run_bandit_scenario if mode == "bandit" else run_scenario)(s)
+        # Some rounds left out a run that received nothing.
+        assert calls and max(calls) > 0
 
     @pytest.mark.parametrize("block_runs", [None, 2])
     def test_bandit_matches_per_run_replay(self, block_runs, monkeypatch):
