@@ -133,10 +133,13 @@ def cmd_sweep(args) -> int:
     _make_out(args.out)
     result = sweep(scenario, param, values)
     for pt in result.points:
-        winner = "aloha" if pt.aloha_better else "polling"
+        predicted = "aloha" if pt.aloha_favored_predicted else "polling"
+        verdict = f"{'aloha' if pt.aloha_better else 'polling'} (predicted {predicted})"
+        if pt.tie:
+            verdict = f"tie (untested; predicted {predicted})"
         print(
             f"{param}={pt.value:g}: polling {pt.polling_mse:.4g}, aloha {pt.aloha_mse:.4g}"
-            f" -> {winner} (predicted {'aloha' if pt.aloha_favored_predicted else 'polling'})"
+            f" -> {verdict}"
         )
     _write(args.out, f"sweep_{param}.csv", write_sweep_csv, result)
     return _check(rule, result, "sweep ordering matches the closed-form prediction")

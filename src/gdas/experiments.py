@@ -418,6 +418,11 @@ class SweepPoint:
     aloha_better: bool
     aloha_favored_predicted: bool
 
+    @property
+    def tie(self) -> bool:
+        """Both modes reached the same final MSE: the point tests no ordering."""
+        return self.aloha_mse == self.polling_mse
+
 
 @dataclass
 class SweepResult:
@@ -431,8 +436,11 @@ def sweep(scenario: Scenario, param: str, values: Sequence[float]) -> SweepResul
 
     Runs never stop early on a measurement count here (kbar is forced to K),
     matching the fixed-horizon reading of the comparison figures; ``T``
-    defaults to 75.  The result holds the scenario the runs used.
+    defaults to 75.  The result holds the scenario the runs used.  A bandit
+    scenario is rejected: every point runs polling and ALOHA.
     """
+    if scenario.mode == "bandit":
+        raise ValueError("sweep compares polling and ALOHA; give a polling or aloha scenario")
     if param not in ("p", "N"):
         raise ValueError("param must be 'p' or 'N'")
     if len(values) == 0:
@@ -535,12 +543,13 @@ def _fmt(value) -> str:
     return "%.9g" % float(value)
 
 
-def _scenario_tag(s: Scenario) -> str:
+def _scenario_tag(s: Scenario, omit: Sequence[str] = ()) -> str:
     """``Scenario``'s fields in declaration order, as the runs use them: ``kbar``,
-    ``T`` and ``runs`` resolved, the bandit-only fields for bandit runs only."""
+    ``T`` and ``runs`` resolved, the bandit-only fields for bandit runs only,
+    and none of the fields ``omit``."""
     items = []
     for f in fields(Scenario):
-        if f.name in _BANDIT_FIELDS and s.mode != "bandit":
+        if f.name in omit or (f.name in _BANDIT_FIELDS and s.mode != "bandit"):
             continue
         value = getattr(s, _RESOLVED.get(f.name, f.name))
         if value is None:
@@ -576,10 +585,12 @@ def write_summary_csv(path, result: RunResult) -> None:
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
-    """One row per sweep point; the columns are the ``SweepPoint`` fields."""
+    """One row per sweep point; the columns are the ``SweepPoint`` fields.  The
+    header leaves out ``mode`` (both modes ran) and the swept field."""
     columns = [f.name for f in fields(SweepPoint)]
+    tag = _scenario_tag(result.scenario, omit=("mode", result.param))
     lines = [
-        f"# {SWEEP_SCHEMA} param={result.param} {_scenario_tag(result.scenario)}",
+        f"# {SWEEP_SCHEMA} param={result.param} {tag}",
         ",".join(columns),
     ]
     for pt in result.points:

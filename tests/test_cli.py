@@ -189,6 +189,28 @@ def test_sweep_check_applies_the_validate_rule(capsys):
     assert "p=0.2: winner" not in out
 
 
+def test_sweep_reports_a_tie_as_untested(tmp_path, capsys):
+    # Every run of both modes learns all 12 nodes by T = 75: equal final
+    # MSEs order nothing, so they neither confirm nor break the prediction.
+    cfg = tmp_path / "tie.cfg"
+    cfg.write_text("mode = aloha\nK = 12\nN = 2\np = 0.4\nruns = 2\n")
+    assert main(["sweep", "--config", str(cfg), "--param", "p", "--values", "0.2", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "p=0.2: polling 0, aloha 0 -> tie (untested; predicted aloha)" in out
+    assert "CHECK PASS" in out
+
+
+def test_sweep_rejects_a_bandit_scenario(tmp_path):
+    # A sweep runs polling and ALOHA only; its header must not claim a bandit.
+    cfg = tmp_path / "bandit.cfg"
+    cfg.write_text("mode = bandit\nK = 12\nN = 2\np = 0.4\nruns = 2\ntau = 5\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="gdas sweep: sweep compares polling and ALOHA"):
+        main(["sweep", "--config", str(cfg), "--param", "p", "--values", "0.2,0.5",
+              "--out", str(out)])
+    assert not (out / "sweep_p.csv").exists()
+
+
 # Every preset with a --check and the validate rule it applies.
 CHECKED_PRESETS = [
     ("run", "rounds", "rounds_problems"),

@@ -672,6 +672,14 @@ class TestCsvOutput:
         head = (out / "sweep_N.csv").read_text().splitlines()[0]
         assert " K=12 " in head and " kbar=12 T=75 runs=2 " in head
 
+    def test_sweep_header_leaves_out_mode_and_the_swept_field(self, tmp_path):
+        # Every point runs both modes, each at its own value of the swept field.
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, sweep(tiny(T=5, runs=2), "p", [0.2, 0.5]))
+        head = path.read_text().splitlines()[0]
+        assert head.startswith("# gdas.sweep.v1 param=p K=12 rho=0.9 N=2 q_policy=optimal ")
+        assert "mode=" not in head and " p=" not in head
+
     def test_sweep_csv(self, tmp_path):
         table = sweep(tiny(T=5, runs=2), "p", [0.2, 0.5])
         path = tmp_path / "sweep.csv"

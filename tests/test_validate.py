@@ -129,6 +129,23 @@ def test_crossover_rule_is_check_3s():
     )
 
 
+def test_a_tie_breaks_no_crossover_rule():
+    # Both modes at MSE 0: aloha_better is false, yet polling did not win.
+    points = [
+        SweepPoint("p", p, 0.0, 0.0, 0.0, 0.0, False, favored)
+        for p, favored in ((0.2, True), (0.6, False))
+    ]
+    table = SweepResult(Scenario(), "p", points)
+    assert [pt.tie for pt in points] == [True, True]
+    assert validate.sweep_problems(table) == []
+    with patch.object(validate, "sweep", lambda base, param, values: table):
+        res = validate.check_crossover()
+    assert res.passed
+    assert res.detail == (
+        "p=0.2: aloha 0 vs polling 0 [untested: tie]; p=0.6: aloha 0 vs polling 0 [untested: tie]"
+    )
+
+
 def test_n_sweep_rule_wants_a_strict_decrease_in_each_mode():
     mses = ((1, 3.0, 2.0), (2, 3.0, 1.0), (4, 1.0, 1.0))
     points = [SweepPoint("N", n, pm, pm, am, am, am < pm, True) for n, pm, am in mses]
