@@ -296,18 +296,19 @@ class TestBlockLoop:
             dict(mode="aloha"),
             dict(mode="aloha", q_policy="topq"),
             dict(mode="aloha", q_policy="fixed:1", T=25),
-            dict(mode="aloha", first_round="greedy"),
             # kbar = K: the runs' widths diverge and the block's posterior
             # stack compacts several times mid-run.
             dict(mode="polling", kbar=12, T=19),
             dict(mode="aloha", kbar=12, T=19),
             dict(mode="bandit", kbar=12, T=18),
-            dict(mode="bandit", first_round="greedy", kbar=12, T=18),
             # Near rank-3 models: the low-rank arms absorb degenerate nodes
             # inside the stack while the AR(1) arm downdates.  One pick per
             # round: greedy re-scoring past a model's rank ranks rounding
             # noise, which no two stack layouts share.
             dict(mode="bandit", family_noise=1e-11, q_policy="fixed:1", kbar=12, T=35),
+            # Greedy selection from round 0.
+            dict(mode="aloha", first_round="greedy"),
+            dict(mode="bandit", first_round="greedy", kbar=12, T=18),
         ],
     )
     def test_matches_per_run_replay(self, overrides, block_runs, monkeypatch):
