@@ -1,9 +1,10 @@
 """Regenerate the golden preset outputs that ``tests/test_golden.py`` compares against.
 
 Each case is one ``gdas`` command line at a reduced run count: enough runs to
-span two or more lockstep blocks (19 runs per block at K=100, 6 bandit runs),
-with runs long enough that the posterior stack compacts mid-run.  A case's
-CSV files and its stdout go to ``tests/golden/<case>/``.
+span two or more lockstep blocks (19 runs per block at K=100, 6 bandit runs,
+one run at K=400, so that ``aloha-k400`` covers the one-run selection), with
+runs long enough that the posterior stack compacts mid-run.  A case's CSV
+files and its stdout go to ``tests/golden/<case>/``.
 
 Run from the repository root after an intended change of outputs::
 
@@ -43,6 +44,7 @@ CASES: dict[str, list[str]] = {
     "mismatch": ["bandit", "--preset", "mismatch", "--runs", "8"],
     "aloha-topq": ["run", "--config", str(HERE / "aloha-topq.cfg")],
     "aloha-greedy": ["run", "--config", str(HERE / "aloha-greedy.cfg")],
+    "aloha-k400": ["run", "--config", str(HERE / "aloha-k400.cfg")],
     "polling-fixed1": ["run", "--config", str(HERE / "polling-fixed1.cfg")],
     "bandit-fixed1": ["bandit", "--config", str(HERE / "bandit-fixed1.cfg")],
 }

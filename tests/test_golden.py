@@ -1,5 +1,5 @@
-"""Every preset, a topq config, a greedy-first-round config and fixed:1 configs
-reproduce their committed outputs.
+"""Every preset, a topq config, a greedy-first-round config, a K=400 config and
+fixed:1 configs reproduce their committed outputs.
 
 ``tests/golden/regenerate.py`` defines the cases, wrote the files under
 ``tests/golden/`` and owns the comparison: integer fields (run, t, K_t,
