@@ -11,15 +11,17 @@ Scores come straight from the covariance, so selection never looks at
 observed values (or at the hidden ground truth).
 
 The runs of a lockstep block share one ``PosteriorStack`` that holds every
-run's posterior under every model: selection reads the chosen model's
-posterior of each run in place, and ingest folds each run's deliveries into
-all of its models at once.  One run on its own is a ``SensingState``, a view
-of run 0 of a one-model stack; ``select_nodes`` and ``ingest`` unwrap it on
-entry and run the same body.
+run's posterior under every model.  Selection for two or more runs gathers
+each run's chosen posterior into a copy that ``_greedy`` may write; one run
+selecting on its own is read in place by ``_greedy_one``.  Ingest folds each
+run's deliveries into all of its models at once.  One run on its own is a
+``SensingState``, a view of run 0 of a one-model stack; ``select_nodes`` and
+``ingest`` unwrap it on entry and run the same body.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -118,8 +120,9 @@ def _greedy(
     A run whose count is used up stops updating: its pivot variance reads
     as infinite, so its update is zero, and its later picks are discarded.
     A pick whose variance is at most ``DEGENERATE_VARIANCE_EPS`` updates
-    nothing; its row and column are zeroed in ``S``, which is scratch.  The
-    last pick needs no update.
+    nothing; its row and column are zeroed in ``S``, so ``S`` must be a copy
+    the caller may lose (``select_nodes`` gathers one for a block of two or
+    more runs).  The last pick needs no update.
     """
     B, n = labels.shape
     steps = max(counts, default=0)
@@ -211,6 +214,71 @@ def _greedy(
     return [chosen[b, : counts[b]].tolist() for b in range(B)]
 
 
+def _greedy_one(S: np.ndarray, labels: np.ndarray, count: int, rescore=True) -> list[int]:
+    """``_greedy`` for one run, reading its covariance ``S`` in place.
+
+    Takes the same steps, scores, tie band and degenerate rule as ``_greedy``
+    on ``S[None]`` and picks the same nodes, without a block's bookkeeping:
+    the pivot, its variance and gain, and the MSE total are Python floats,
+    and the pivot row of ``S`` and the factor column of ``L`` are read as
+    views.  ``S`` is never written: where ``_greedy`` zeroes a degenerate
+    pick's row and column in ``S``, this kernel zeroes that column in each
+    later pivot row it reads.  The row and column left in ``S`` then meet
+    only zero entries of ``u``, or the picked node's own ``colsq`` and
+    ``diag``, which no longer score.
+    """
+    if count == 0:
+        return []
+    n = labels.shape[0]
+    colsq = np.einsum("ij,ij->j", S, S)
+    diag = S.diagonal().copy()
+    colsq[labels == 0] = -np.inf
+    total = float(diag.sum())
+    L = np.zeros((count - 1, n))
+    score = np.empty(n)
+    best = np.empty(n, dtype=bool)
+    step = np.empty(n)
+    dead: list[int] = []
+    picks = []
+    for k in range(count):
+        np.maximum(diag, DEGENERATE_VARIANCE_EPS, out=score)
+        np.divide(colsq, score, out=score)
+        cut = float(score.max()) - max(total, 1.0) * TIE_TOLERANCE
+        np.greater_equal(score, cut, out=best)
+        l = int(best.argmax())
+        picks.append(l)
+        if k == count - 1:
+            break
+        if not rescore:
+            colsq[l] = -np.inf
+            continue
+        c = S[l]
+        if k:
+            c = c - L[:k, l] @ L[:k]
+            if dead:
+                c[dead] = 0.0
+        colsq[l] = -np.inf
+        nu = float(diag[l])
+        if not nu > DEGENERATE_VARIANCE_EPS:
+            total -= nu
+            colsq -= np.multiply(c, c, out=step)
+            L[:k, l] = 0.0
+            dead.append(l)
+            continue
+        total -= float(score[l])
+        u = np.divide(c, math.sqrt(nu), out=L[k])
+        # The column-norm update of ``_greedy``, on one run.
+        Lu = L[: k + 1]
+        t = Lu @ u
+        t[k] *= 0.5
+        v = S @ u
+        v -= t @ Lu
+        v *= 2.0
+        colsq -= np.multiply(v, u, out=step)
+        diag -= np.multiply(u, u, out=step)
+    return labels[picks].tolist()
+
+
 def select_nodes(
     state: SensingState | PosteriorStack,
     q: int | Sequence[int],
@@ -230,12 +298,14 @@ def select_nodes(
     A ``SensingState`` gets one pick list.  On a ``PosteriorStack`` the
     runs ``runs`` (default: all) pick under their models ``arms`` (positions
     in the stack's model list, default 0); ``q`` is then a shared count or
-    one count per run, and the result holds one pick list per run.  Each run
-    gets the picks it would get alone: a stack shares numpy calls, not
-    data.  Scores may differ in the last bits, which matters only for a
-    near-tie at the edge of ``TIE_TOLERANCE``, or once ``greedy`` has
-    re-scored past the rank of a near-singular model, where the scores left
-    are rounding noise.
+    one count per run, and the result holds one pick list per run.  Two or
+    more runs are gathered into a copy and picked by ``_greedy``; one run is
+    read in place by ``_greedy_one``, which picks what ``_greedy`` picks for
+    it and writes nothing.  Each run gets the picks it would get alone: a
+    stack shares numpy calls, not data.  Scores may differ in the last bits
+    between stacks of other widths, which matters only for a near-tie at the
+    edge of ``TIE_TOLERANCE``, or once ``greedy`` has re-scored past the rank
+    of a near-singular model, where the scores left are rounding noise.
     """
     if rule not in ("greedy", "topq"):
         raise ValueError(f"unknown selection rule: {rule!r}")
@@ -244,7 +314,12 @@ def select_nodes(
     arms = np.zeros_like(rows) if arms is None else np.asarray(arms, dtype=np.int64)
     qs = _counts(q, rows.shape[0])
     counts = [min(v, post.unknown[b]) for v, b in zip(qs, rows.tolist())]
-    picks = _greedy(post.cov[rows, arms], post.labels[rows], counts, rescore=rule == "greedy")
+    rescore = rule == "greedy"
+    if rows.shape[0] == 1:
+        run, arm = int(rows[0]), int(arms[0])
+        picks = [_greedy_one(post.cov[run, arm], post.labels[run], counts[0], rescore)]
+    else:
+        picks = _greedy(post.cov[rows, arms], post.labels[rows], counts, rescore=rescore)
     return picks if post is state else picks[0]
 
 

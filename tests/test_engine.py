@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from gdas.engine import TIE_TOLERANCE, _greedy, ingest, initial_state, polling_order, select_nodes
 from gdas.models import (
@@ -76,6 +76,16 @@ def reference_picks(cov, labels, q):
         else:
             C[l, :] = C[:, l] = 0.0
     return picks
+
+
+def lifted_model(base):
+    """``base`` plus a last node that is a tiny multiple of its leading
+    eigenvector, with variance 0.99 * DEGENERATE_VARIANCE_EPS: a pick of it
+    is degenerate."""
+    lam, vec = np.linalg.eigh(base.cov)
+    K = base.K
+    lift = np.vstack([np.eye(K), vec[:, -1] * np.sqrt(0.99 * DEGENERATE_VARIANCE_EPS / lam[-1])])
+    return GaussianModel(mean=np.zeros(K + 1), cov=lift @ base.cov @ lift.T)
 
 
 def played_stack(models, runs, rng, rounds, stopped=()):
@@ -352,10 +362,7 @@ class TestKernelEdges:
         # its row and column instead of downdating.  Run 1 has node 7
         # observed; both then pick the six-node order.
         ar1 = build_ar1_model(6, 0.8)
-        lam, vec = np.linalg.eigh(ar1.cov)
-        lift = np.vstack([np.eye(6), vec[:, -1] * np.sqrt(0.99 * DEGENERATE_VARIANCE_EPS / lam[-1])])
-        model = GaussianModel(mean=np.zeros(7), cov=lift @ ar1.cov @ lift.T)
-        post = initial_state([model], np.zeros((2, 7)))
+        post = initial_state([lifted_model(ar1)], np.zeros((2, 7)))
         ingest(post, {0: {}, 1: {7: 0.0}})
         S = post.cov[:, 0].copy()
         assert S[0, 6].any()
@@ -366,6 +373,49 @@ class TestKernelEdges:
         for b in range(2):
             cond = post.cond(b)
             assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, len(picks[b]))
+
+    def test_one_run_selection_reads_the_stack_in_place(self):
+        # The same degenerate first pick, made by one run on its own: the
+        # stack's covariances and means are read, never written.
+        ar1 = build_ar1_model(6, 0.8)
+        post = initial_state([lifted_model(ar1)], np.zeros((2, 7)))
+        cov, mean = post.cov.tobytes(), post.mean.tobytes()
+        order = select_nodes(initial_state(ar1), 6)
+        assert select_nodes(post, [7], runs=[0]) == [[7] + order]
+        assert post.cov.tobytes() == cov and post.mean.tobytes() == mean
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        k=strategies.integers(2, 60),
+        kind=strategies.sampled_from(["ar1", "psd", "degenerate"]),
+        rule=strategies.sampled_from(["greedy", "topq"]),
+        runs=strategies.integers(2, 3),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    @example(k=9, kind="degenerate", rule="greedy", runs=2, seed=2)
+    def test_one_run_picks_what_the_block_picks(self, k, kind, rule, runs, seed):
+        # Each run of a block of 2-3, selected on its own (the one-run
+        # kernel, in place), picks what ``_greedy`` picks for it in the
+        # block, and leaves the stack byte-identical.  Observed nodes and a
+        # compacted stack give the runs masked columns; in the explicit
+        # example a run picks the degenerate node before its last pick.
+        rng = np.random.default_rng(seed)
+        if kind == "ar1":
+            model = build_ar1_model(k, float(rng.uniform(0.3, 0.999)))
+        elif kind == "psd":
+            model = random_psd_model(rng, k)
+        else:
+            model = lifted_model(build_ar1_model(k - 1, float(rng.uniform(0.3, 0.9))))
+        post = initial_state([model], rng.normal(size=(runs, k)))
+        labels = np.arange(1, k + 1)
+        observed = [rng.choice(labels, size=int(rng.integers(0, k)), replace=False) for _ in range(runs)]
+        ingest(post, {b: {int(n): float(rng.normal()) for n in observed[b]} for b in range(runs)})
+        counts = [int(rng.integers(1, post.unknown[b] + 1)) for b in range(runs)]
+        block = _greedy(post.cov[:, 0].copy(), post.labels, counts, rescore=rule == "greedy")
+        cov, mean = post.cov.tobytes(), post.mean.tobytes()
+        for b in range(runs):
+            assert select_nodes(post, [counts[b]], rule, runs=[b]) == [block[b]]
+        assert post.cov.tobytes() == cov and post.mean.tobytes() == mean
 
 
 class TestInitialState:
