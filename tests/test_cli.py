@@ -200,6 +200,18 @@ def test_sweep_reports_a_tie_as_untested(tmp_path, capsys):
     assert "CHECK PASS" in out
 
 
+def test_n_sweep_at_mse_zero_passes_its_check(tmp_path, capsys):
+    # Every run of both modes learns all 12 nodes at each N: the MSEs sit
+    # at 0 and cannot fall in N, which breaks nothing.
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("mode = aloha\nK = 12\nN = 2\np = 0.4\nkbar = 5\nruns = 2\nseed = 3\n")
+    argv = ["sweep", "--config", str(cfg), "--param", "N", "--values", "1,2,4", "--check"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "polling 0, aloha 0" in out
+    assert "not decreasing" not in out and "CHECK PASS" in out
+
+
 def test_sweep_rejects_a_bandit_scenario(tmp_path):
     # A sweep runs polling and ALOHA only; its header must not claim a bandit.
     cfg = tmp_path / "bandit.cfg"

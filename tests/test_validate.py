@@ -156,6 +156,19 @@ def test_n_sweep_rule_wants_a_strict_decrease_in_each_mode():
     assert validate.sweep_problems(SweepResult(Scenario(), "N", points[:1])) == []
 
 
+def test_n_sweep_step_at_zero_on_both_sides_is_untested():
+    # Each mode reaches MSE 0 from N=2 on: those steps cannot fall and break
+    # nothing.  A rise from 0 still breaks the rule.
+    def problems(mses):
+        points = [SweepPoint("N", n, pm, pm, am, am, am < pm, True) for n, pm, am in mses]
+        return validate.sweep_problems(SweepResult(Scenario(), "N", points))
+
+    assert problems(((1, 3.0, 2.0), (2, 0.0, 0.0), (4, 0.0, 0.0))) == []
+    assert problems(((1, 0.0, 0.0), (2, 0.0, 0.0), (4, 0.0, 1e-3))) == [
+        "aloha MSE not decreasing in N"
+    ]
+
+
 def test_rounds_rule_names_windows_and_censored_runs():
     def result(stops):
         # One row per run, its last: a run that stops at round s reaches
