@@ -220,8 +220,7 @@ def _greedy_one(S: np.ndarray, labels: np.ndarray, count: int, rescore=True) -> 
     Takes the same steps, scores, tie band and degenerate rule as ``_greedy``
     on ``S[None]`` and picks the same nodes, without a block's bookkeeping:
     the pivot, its variance and gain, and the MSE total are Python floats,
-    and the pivot row of ``S`` and the factor column of ``L`` are read as
-    views.  ``S`` is never written: where ``_greedy`` zeroes a degenerate
+    and the pivot row of ``S`` is read as a view.  ``S`` is never written: where ``_greedy`` zeroes a degenerate
     pick's row and column in ``S``, this kernel zeroes that column in each
     later pivot row it reads.  The row and column left in ``S`` then meet
     only zero entries of ``u``, or the picked node's own ``colsq`` and
@@ -254,7 +253,10 @@ def _greedy_one(S: np.ndarray, labels: np.ndarray, count: int, rescore=True) -> 
             continue
         c = S[l]
         if k:
-            c = c - L[:k, l] @ L[:k]
+            # A contiguous column takes the BLAS product that ``_greedy``'s
+            # gathered column takes; numpy sums a strided one in its own
+            # loop, whose rounding differs.
+            c = c - L[:k, l].copy() @ L[:k]
             if dead:
                 c[dead] = 0.0
         colsq[l] = -np.inf
