@@ -220,11 +220,11 @@ def _greedy_one(S: np.ndarray, labels: np.ndarray, count: int, rescore=True) -> 
     Takes the same steps, scores, tie band and degenerate rule as ``_greedy``
     on ``S[None]`` and picks the same nodes, without a block's bookkeeping:
     the pivot, its variance and gain, and the MSE total are Python floats,
-    and the pivot row of ``S`` is read as a view.  ``S`` is never written: where ``_greedy`` zeroes a degenerate
-    pick's row and column in ``S``, this kernel zeroes that column in each
-    later pivot row it reads.  The row and column left in ``S`` then meet
-    only zero entries of ``u``, or the picked node's own ``colsq`` and
-    ``diag``, which no longer score.
+    and the pivot row of ``S`` is read as a view.  ``S`` is never written:
+    where ``_greedy`` zeroes a degenerate pick's row and column in ``S``,
+    this kernel zeroes that column in each later pivot row it reads.  The
+    row and column left in ``S`` then meet only zero entries of ``u``, or
+    the picked node's own ``colsq`` and ``diag``, which no longer score.
     """
     if count == 0:
         return []

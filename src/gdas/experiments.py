@@ -55,10 +55,10 @@ _FIRST_ROUND = ("random", "greedy")
 # ``select_nodes`` gathers for the arm each run selects with when two or
 # more runs select.  Together they take at most this many bytes.  At K=100
 # that is 19 runs, or 6 bandit runs of 5 arms; K=400 gets blocks of one,
-# which select in place.  The cap bounds the memory blocking
-# adds: with the stack at this cap, the peak RSS of the four benchmark
-# workloads measured 0.2-2.2 MB below that of per-run posteriors in 2 MB
-# blocks (2-vCPU Xeon), and bandit runs got 6 runs per block instead of 4.
+# which select in place.  The cap bounds the memory blocking adds: with the
+# stack at this cap, the peak RSS of the four benchmark workloads measured
+# 0.2-2.2 MB below that of per-run posteriors in 2 MB blocks (2-vCPU Xeon),
+# and bandit runs got 6 runs per block instead of 4.
 BLOCK_BYTES = 3 << 20
 
 
