@@ -20,7 +20,14 @@ from .experiments import (
     write_sweep_csv,
 )
 from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS
-from .validate import ALL_CHECKS, DEFAULT_SEED, preset_rule, run_all, sweep_problems
+from .validate import (
+    ALL_CHECKS,
+    DEFAULT_SEED,
+    SWEEP_RULES,
+    preset_rule,
+    run_all,
+    sweep_problems,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -133,16 +140,17 @@ def cmd_sweep(args) -> int:
     _make_out(args.out)
     result = sweep(scenario, param, values)
     for pt in result.points:
-        predicted = "aloha" if pt.aloha_favored_predicted else "polling"
-        verdict = f"{'aloha' if pt.aloha_better else 'polling'} (predicted {predicted})"
-        if pt.tie:
-            verdict = f"tie (untested; predicted {predicted})"
+        verdict = "tie" if pt.tie else "aloha" if pt.aloha_better else "polling"
+        if param == "p":
+            # Only the p rule tests the 1/e prediction; an N-sweep holds p fixed.
+            predicted = "aloha" if pt.aloha_favored_predicted else "polling"
+            verdict += f" ({'untested; ' if pt.tie else ''}predicted {predicted})"
         print(
             f"{param}={pt.value:g}: polling {pt.polling_mse:.4g}, aloha {pt.aloha_mse:.4g}"
             f" -> {verdict}"
         )
     _write(args.out, f"sweep_{param}.csv", write_sweep_csv, result)
-    return _check(rule, result, "sweep ordering matches the closed-form prediction")
+    return _check(rule, result, SWEEP_RULES[param])
 
 
 def cmd_bandit(args) -> int:

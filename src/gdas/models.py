@@ -21,6 +21,7 @@ Two conditioning paths are provided and must agree:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,16 @@ DEGENERATE_VARIANCE_EPS = 1e-10
 COMPACT_FILL = 0.9
 
 FAMILY_SIZE = 5
+
+# Passes over a K x K matrix (the model checks, ``_fold``'s downdate and
+# ``compact``'s gather) go through row panels of at most this many bytes, so
+# that none of them allocates a temporary the size of a posterior.
+PANEL_BYTES = 256 << 10
+
+
+def _panel_rows(row: int) -> int:
+    """Rows of ``row`` float64 entries that fit one ``PANEL_BYTES`` panel."""
+    return max(1, PANEL_BYTES // (8 * max(row, 1)))
 
 
 def _readout(run: int | Sequence[int], terms: np.ndarray) -> float | np.ndarray:
@@ -98,12 +109,19 @@ class GaussianModel:
             raise ValueError("a model needs at least one node")
         if not np.isfinite(mean).all():
             raise ValueError("mean has a non-finite entry")
-        if not np.isfinite(cov).all():
+        # No check below makes a K x K temporary.  max and min propagate
+        # nan, so both are finite only if every entry is.
+        high, low = float(cov.max()), float(cov.min())
+        if not (math.isfinite(high) and math.isfinite(low)):
             raise ValueError("cov has a non-finite entry")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
-            raise ValueError("cov is not symmetric")
+        scale = max(1.0, high, -low)
         k = cov.shape[0]
+        rows = _panel_rows(k)
+        diff = np.empty((min(rows, k), k))
+        for i in range(0, k, rows):
+            part = np.subtract(cov[i : i + rows], cov[:, i : i + rows].T, out=diff[: k - i])
+            if max(float(part.max()), -float(part.min())) > 1e-12 * scale:
+                raise ValueError("cov is not symmetric")
         trace = float(np.trace(cov))
         floor = -1e-10 * max(trace, 0.0) / k
         if float(np.linalg.eigvalsh(cov)[0]) < floor:
@@ -257,11 +275,12 @@ def _fold(
     ``DEGENERATE_VARIANCE_EPS`` under a model, the row is zero there, so
     the node is absorbed, or ``DegenerateVarianceError`` is raised.
 
-    One einsum gives W_u^T W = [W_u^T W_u | W_u^T w_z], so the update is two
-    passes over each covariance.  Its sums over the d rows run in row order,
-    so every entry's arithmetic is the same whatever the width n, the
-    padding or the columns the nodes sit in; that of a BLAS ``W_u^T W_u``
-    is not.
+    One einsum per row panel of ``PANEL_BYTES`` gives that panel's rows of
+    W_u^T W = [W_u^T W_u | W_u^T w_z], so the update is two passes over each
+    covariance and needs no (M, n, n + 1) temporary.  Its sums over the d
+    rows run in row order, so every entry's arithmetic is the same whatever
+    the width n, the panel, the padding or the columns the nodes sit in;
+    that of a BLAS ``W_u^T W_u`` is not.
     """
     M, n = mean.shape
     W = np.empty((M, pos.shape[0], n + 1))
@@ -283,9 +302,14 @@ def _fold(
             row[bad] = 0.0
             nu[bad] = 1.0
         row /= np.sqrt(nu)
-    step = np.einsum("mki,mkj->mij", W[:, :, :n], W)
-    cov -= step[:, :, :n]
-    mean += step[:, :, n]
+    rows = _panel_rows(M * (n + 1))
+    step = np.empty((M, min(rows, n), n + 1))
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        part = step[:, : j - i]
+        np.einsum("mki,mkj->mij", W[:, :, i:j], W, out=part)
+        cov[:, i:j] -= part[:, :, :n]
+        mean[:, i:j] += part[:, :, n]
     for l in pos.tolist():
         cov[:, l] = 0.0
         cov[:, :, l] = 0.0
@@ -414,22 +438,28 @@ class PosteriorStack:
         than ``COMPACT_FILL`` of the stack's width.
 
         No run is dropped.  The new stack is the front of the old one's
-        buffer, and each run's models are gathered by one index, so the peak
-        memory is the old stack and one run's (M, u, u) block.
+        buffer, and each model's rows are gathered in panels of
+        ``PANEL_BYTES``, so the peak memory is the old stack and one panel.
         """
         width = max(self.unknown)
         if width >= COMPACT_FILL * self.cov.shape[-1]:
             return
         B, M = self.mean.shape[:2]
-        # Run b's new block ends no later than its old block, so taking the
-        # runs in order reads each old block before a write reaches it.
+        # Run b's new block for model m ends no later than its old block
+        # starts, and a row's new place ends no later than any later row's
+        # old place starts, so taking the runs, their models and the rows in
+        # order reads each old row before a write reaches it.
         cov = self.cov.reshape(-1)[: B * M * width * width].reshape(B, M, width, width)
         mean = np.zeros((B, M, width))
         labels = np.zeros((B, width), dtype=np.int64)
         for b in range(B):
             cols = self.columns(b)
             u = cols.shape[0]
-            cov[b, :, :u, :u] = self.cov[b][:, cols[:, None], cols]
+            rows = _panel_rows(u)
+            for m in range(M):
+                for i in range(0, u, rows):
+                    j = min(i + rows, u)
+                    cov[b, m, i:j, :u] = self.cov[b, m][cols[i:j, None], cols]
             cov[b, :, u:] = 0.0
             cov[b, :, :u, u:] = 0.0
             mean[b, :, :u] = self.mean[b].take(cols, axis=1)
@@ -503,8 +533,10 @@ def build_ar1_model(K: int, rho: float) -> GaussianModel:
         raise ValueError("rho must lie in (-1, 1)")
     k = np.arange(1, K + 1)
     mean = np.cos(np.pi * (k - 1) / 5.0)
-    lags = np.abs(np.subtract.outer(k, k))
-    cov = np.power(float(rho), lags)
+    # Row i is the window of rho^|l|, l = 1 - K .. K - 1, that starts at
+    # l = -i: a view, so the model's copy is the one K x K array made.
+    powers = np.power(float(rho), np.abs(np.arange(1 - K, K)))
+    cov = np.lib.stride_tricks.sliding_window_view(powers, K)[::-1]
     return GaussianModel(mean=mean, cov=cov)
 
 

@@ -178,6 +178,13 @@ def crossover_holds(pt: SweepPoint) -> bool:
     return pt.tie or pt.aloha_better == pt.aloha_favored_predicted
 
 
+# What ``sweep_problems`` tests, by swept parameter, as a passing check states it.
+SWEEP_RULES = {
+    "p": "sweep ordering matches the closed-form prediction",
+    "N": "each mode's final MSE falls strictly in N (untested at MSE 0 on both sides)",
+}
+
+
 def sweep_problems(result: SweepResult) -> list[str]:
     """Breaks of the ordering rule: ``crossover_holds`` at every p; in N, a strict
     fall of each mode's final MSE.  A step where a mode is at MSE 0 on both

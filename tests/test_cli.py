@@ -212,6 +212,22 @@ def test_n_sweep_at_mse_zero_passes_its_check(tmp_path, capsys):
     assert "not decreasing" not in out and "CHECK PASS" in out
 
 
+def test_n_sweep_states_the_rule_it_tests(tmp_path, capsys):
+    # The N rule tests each mode's fall in N, never the 1/e prediction (p is
+    # held fixed): the point lines leave the prediction out, and the CHECK
+    # line names the N rule.
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("mode = aloha\nK = 12\nN = 2\np = 0.4\nkbar = 5\nruns = 2\nseed = 3\n")
+    argv = ["sweep", "--config", str(cfg), "--param", "N", "--values", "1,2", "--check"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["N=1", "N=2"]
+    assert all(line.rsplit("-> ", 1)[1] in ("aloha", "polling", "tie") for line in lines[:2])
+    assert lines[2] == (
+        "CHECK PASS: each mode's final MSE falls strictly in N (untested at MSE 0 on both sides)"
+    )
+
+
 def test_sweep_rejects_a_bandit_scenario(tmp_path):
     # A sweep runs polling and ALOHA only; its header must not claim a bandit.
     cfg = tmp_path / "bandit.cfg"

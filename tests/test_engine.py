@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies
 from gdas.engine import TIE_TOLERANCE, _greedy, ingest, initial_state, polling_order, select_nodes
 from gdas.models import (
     DEGENERATE_VARIANCE_EPS,
+    PANEL_BYTES,
     GaussianModel,
     build_ar1_model,
     build_model_family,
@@ -478,9 +479,10 @@ class TestIngest:
         # A K=400 round's folds leave run 0 with 359 of 400 unknowns, below
         # 0.9 of the width, so the compaction that ends its ingest gathers.
         # The new stack reuses the old one's buffer: the gather peaks at the
-        # old stack and one (M, u, u) block, plus 0.5 MiB for numpy's fixed
+        # old stack and one row panel, plus 0.5 MiB for numpy's fixed
         # indexing buffers (~0.13 MB).  A fresh new stack would add 4.1 MB,
-        # and gathering rows, then columns an (M, u, 400) array, 2.3 MB.
+        # gathering rows, then columns an (M, u, 400) array, 2.3 MB, and one
+        # (M, u, u) block 2.1 MB.
         K, M = 400, 2
         models = [build_ar1_model(K, 0.95), build_ar1_model(K, 0.8)]
         slots = {0: {n: 0.0 for n in range(1, 42)}, 1: {n: 0.0 for n in range(100, 150)}}
@@ -497,7 +499,7 @@ class TestIngest:
             tracemalloc.stop()
         u = post.cov.shape[-1]
         assert u == 359 and post.unknown == [359, 350]
-        assert peak < old + M * u * u * 8 + (1 << 19)
+        assert peak < old + PANEL_BYTES + (1 << 19)
         oracle = condition(models[1], range(100, 150), np.zeros(50))
         np.testing.assert_allclose(post.cond(1, 1).cond_cov, oracle.cond_cov, rtol=0, atol=1e-9)
 

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest.mock import patch
@@ -12,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import gdas.cli as cli
 import gdas.experiments as experiments
-from gdas.access import aloha_round, expected_successes, optimal_q, polling_round
+from gdas.access import (
+    aloha_round,
+    expected_successes,
+    optimal_q,
+    polling_round,
+    request_count,
+)
 from gdas.bandit import new_bandit_state, prediction_error_terms, select_model, update
 from gdas.config import load_scenario, parse_scenario_text, scenario_to_text
 from gdas.engine import ingest, initial_state, select_nodes
@@ -403,6 +410,27 @@ class TestBlockLoop:
             columns = ("K_t", "delivered", "collided", "mse_theory", "m", "Y")
             written = np.array([[r[c] for c in columns] for r in got])
             assert np.array_equal(written, np.array(rows, dtype=float), equal_nan=True)
+
+    def test_a_large_k_batch_holds_its_posteriors(self):
+        # At K = 400 one posterior fills a block.  A one-run ALOHA batch then
+        # holds the model's covariance, the sampler's Cholesky factor, the
+        # run's posterior and the q - 1 factor rows of the one-run greedy
+        # kernel.  Building the model, folding and compacting work in row
+        # panels, so the batch's peak stays below one more K x K array.
+        s = Scenario(mode="aloha", K=400, N=16, p=0.2, kbar=100, T=150, runs=1, seed=7)
+        run_scenario(tiny(runs=1))  # lazy imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            res = run_scenario(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The run learned kbar = 100 nodes, so its stack compacted on the way.
+        assert res.stop_rounds[0] is not None
+        square = 8 * s.K * s.K
+        q = request_count(s.mode, s.N, s.p, s.K)
+        held = 3 * square + 8 * (q - 1) * s.K
+        assert peak < held + square / 2, f"peak {peak / square:.2f} K x K arrays"
 
 
 @st.composite

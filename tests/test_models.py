@@ -4,6 +4,7 @@ import copy
 import functools
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,17 @@ class TestGaussianModel:
     def test_rejects_non_finite_entries(self, mean, cov, which):
         with pytest.raises(ValueError, match=f"^{which} has a non-finite entry$"):
             GaussianModel(mean=mean, cov=cov)
+
+    @pytest.mark.parametrize("where", [(1, 0), (150, 7), (298, 299)])
+    def test_symmetry_is_checked_in_every_row_panel(self, where):
+        # K = 300 spans several row panels; the tolerance is 1e-12 of the
+        # largest entry (here 3), wherever the asymmetry sits.
+        cov = 3.0 * build_ar1_model(300, 0.9).cov
+        cov[where] += 2.9e-12
+        GaussianModel(mean=np.zeros(300), cov=cov)
+        cov[where] += 0.2e-12
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianModel(mean=np.zeros(300), cov=cov)
 
     def test_arrays_are_frozen(self):
         model = GaussianModel(mean=np.zeros(2), cov=np.eye(2))
@@ -528,6 +540,25 @@ class TestAr1Model:
         assert model.cov[0, 1] == pytest.approx(0.95)
         assert model.cov[0, 99] == pytest.approx(0.95 ** 99)
         assert model.cov[41, 41] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("K, rho", [(7, -0.6), (400, 0.95)])
+    def test_equals_the_lag_matrix_form(self, K, rho):
+        k = np.arange(1, K + 1)
+        model = build_ar1_model(K, rho)
+        assert model.cov.flags.c_contiguous and not model.cov.flags.writeable
+        assert np.array_equal(model.cov, np.power(rho, np.abs(np.subtract.outer(k, k))))
+
+    def test_builds_no_temporary_the_size_of_its_covariance(self):
+        # The read-only copy is the one K x K array; the checks work in row
+        # panels (eigvalsh's own copy is not traced).
+        build_ar1_model(8, 0.95)
+        tracemalloc.start()
+        try:
+            model = build_ar1_model(400, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * model.cov.nbytes
 
     def test_mean_profile(self):
         model = build_ar1_model(10, 0.95)
