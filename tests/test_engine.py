@@ -481,8 +481,7 @@ class TestIngest:
         # The new stack reuses the old one's buffer: the gather peaks at the
         # old stack and one row panel, plus 0.5 MiB for numpy's fixed
         # indexing buffers (~0.13 MB).  A fresh new stack would add 4.1 MB,
-        # gathering rows, then columns an (M, u, 400) array, 2.3 MB, and one
-        # (M, u, u) block 2.1 MB.
+        # an (M, u, 400) gather of rows 2.3 MB, and one (M, u, u) block 2.1 MB.
         K, M = 400, 2
         models = [build_ar1_model(K, 0.95), build_ar1_model(K, 0.8)]
         slots = {0: {n: 0.0 for n in range(1, 42)}, 1: {n: 0.0 for n in range(100, 150)}}
