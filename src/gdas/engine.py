@@ -12,9 +12,11 @@ observed values (or at the hidden ground truth).
 
 The runs of a lockstep block share one ``PosteriorStack`` that holds every
 run's posterior under every model.  Selection for two or more runs gathers
-each run's chosen posterior into a copy that ``_greedy`` may write; one run
-selecting on its own is read in place by ``_greedy_one``.  Ingest folds each
-run's deliveries into all of its models at once.  One run on its own is a
+each run's chosen posterior into a block that ``_greedy`` only reads.  One
+run selecting on its own, and each run that makes a determined pick
+(variance at most ``DEGENERATE_VARIANCE_EPS``), is picked in place by
+``_greedy_one``.  Ingest folds each run's deliveries into all of its models
+at once.  One run on its own is a
 ``SensingState``, a view of run 0 of a one-model stack; ``select_nodes`` and
 ``ingest`` unwrap it on entry and run the same body.
 """
@@ -119,10 +121,10 @@ def _greedy(
 
     A run whose count is used up stops updating: its pivot variance reads
     as infinite, so its update is zero, and its later picks are discarded.
-    A pick whose variance is at most ``DEGENERATE_VARIANCE_EPS`` updates
-    nothing; its row and column are zeroed in ``S``, so ``S`` must be a copy
-    the caller may lose (``select_nodes`` gathers one for a block of two or
-    more runs).  The last pick needs no update.
+    A run whose pivot variance is at most ``DEGENERATE_VARIANCE_EPS`` stops
+    the same way, and its picks come from ``_greedy_one`` on ``S[b]``, the
+    one implementation of the determined-pick rule.  ``S`` is only read.
+    The last pick needs no update.
     """
     B, n = labels.shape
     steps = max(counts, default=0)
@@ -178,13 +180,12 @@ def _greedy(
         diag_flat.take(idx, out=nu_, mode="clip")
         if ragged:
             nu[last <= k] = np.inf
-        gain = score_flat.take(idx, mode="clip")
-        bad = None
         if not nu.min() > DEGENERATE_VARIANCE_EPS:
-            bad = np.flatnonzero(~(nu_ > DEGENERATE_VARIANCE_EPS))
-            gain[bad] = nu_[bad]
-            nu[bad] = np.inf
-        total -= gain
+            handed = ~(nu_ > DEGENERATE_VARIANCE_EPS)
+            last[handed] = k
+            nu[handed] = np.inf
+            ragged = True
+        total -= score_flat.take(idx, mode="clip")
         np.sqrt(nu, out=nu)
         S_rows.take(idx, axis=0, out=c, mode="clip")
         if k:
@@ -206,25 +207,25 @@ def _greedy(
         np.multiply(VU, u, out=step)
         D -= step
         colsq_flat[idx] = -np.inf
-        if bad is not None:
-            for b in bad.tolist():
-                colsq[b] -= c[b] * c[b]
-                S[b, l[b], :] = S[b, :, l[b]] = L[b, :, l[b]] = 0.0
     chosen = np.take_along_axis(labels, picks.T, axis=1)
-    return [chosen[b, : counts[b]].tolist() for b in range(B)]
+    out = [chosen[b, : counts[b]].tolist() for b in range(B)]
+    for b in np.flatnonzero(last < np.asarray(counts) - 1).tolist():
+        out[b] = _greedy_one(S[b], labels[b], counts[b], rescore)
+    return out
 
 
 def _greedy_one(S: np.ndarray, labels: np.ndarray, count: int, rescore=True) -> list[int]:
     """``_greedy`` for one run, reading its covariance ``S`` in place.
 
-    Takes the same steps, scores, tie band and degenerate rule as ``_greedy``
-    on ``S[None]`` and picks the same nodes, without a block's bookkeeping:
-    the pivot, its variance and gain, and the MSE total are Python floats,
-    and the pivot row of ``S`` is read as a view.  ``S`` is never written:
-    where ``_greedy`` zeroes a degenerate pick's row and column in ``S``,
-    this kernel zeroes that column in each later pivot row it reads.  The
-    row and column left in ``S`` then meet only zero entries of ``u``, or
-    the picked node's own ``colsq`` and ``diag``, which no longer score.
+    Takes the same steps, scores and tie band as ``_greedy`` on ``S[None]``
+    and picks the same nodes, without a block's bookkeeping: the pivot, its
+    variance and gain, and the MSE total are Python floats, and the pivot
+    row of ``S`` is read as a view.  This is the one implementation of the
+    determined-pick rule, which ``_greedy`` hands over: a pick whose variance
+    is at most ``DEGENERATE_VARIANCE_EPS`` updates nothing, and its column is
+    zeroed in each later pivot row, never in ``S``.  Its row and column left
+    in ``S`` meet only zero entries of ``u``, or its own ``colsq`` and
+    ``diag``, which no longer score.
     """
     if count == 0:
         return []
@@ -301,10 +302,12 @@ def select_nodes(
     runs ``runs`` (default: all) pick under their models ``arms`` (positions
     in the stack's model list, default 0); ``q`` is then a shared count or
     one count per run, and the result holds one pick list per run.  Two or
-    more runs are gathered into a copy and picked by ``_greedy``; one run is
-    read in place by ``_greedy_one``, which picks what ``_greedy`` picks for
-    it and writes nothing.  Each run gets the picks it would get alone: a
-    stack shares numpy calls, not data.  Scores may differ in the last bits
+    more runs are gathered into a block that ``_greedy`` only reads; one run
+    is read in place by ``_greedy_one``, which picks what ``_greedy`` picks
+    for it and writes nothing.  A run that makes a determined pick (variance
+    at most ``DEGENERATE_VARIANCE_EPS``) always gets its picks from
+    ``_greedy_one``.  Each run gets the picks it would get alone: a stack
+    shares numpy calls, not data.  Scores may differ in the last bits
     between stacks of other widths, which matters only for a near-tie at the
     edge of ``TIE_TOLERANCE``, or once ``greedy`` has re-scored past the rank
     of a near-singular model, where the scores left are rounding noise.

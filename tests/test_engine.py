@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from gdas.engine import TIE_TOLERANCE, _greedy, ingest, initial_state, polling_order, select_nodes
+from gdas.engine import (
+    TIE_TOLERANCE,
+    _greedy,
+    _greedy_one,
+    ingest,
+    initial_state,
+    polling_order,
+    select_nodes,
+)
 from gdas.models import (
     DEGENERATE_VARIANCE_EPS,
     PANEL_BYTES,
@@ -356,21 +364,24 @@ class TestKernelEdges:
         assert picks == [select_nodes(post, [v], runs=[b])[0] for b, v in enumerate(counts)]
         assert sorted(picks[2]) == [1, 2, 3]
 
-    def test_degenerate_pick_drops_its_row_and_column(self):
+    def test_degenerate_pick_hands_its_run_to_the_one_run_kernel(self):
         # Node 7 is a tiny multiple of the leading eigenvector of nodes 1-6,
         # with variance 0.99 * DEGENERATE_VARIANCE_EPS: its score is the
-        # highest, so run 0 picks it first, as a degenerate pick that drops
-        # its row and column instead of downdating.  Run 1 has node 7
+        # highest, so run 0 picks it first, as a degenerate pick.  The block
+        # kernel stops updating run 0 and takes its picks from
+        # ``_greedy_one``, so the block is only read.  Run 1 has node 7
         # observed; both then pick the six-node order.
         ar1 = build_ar1_model(6, 0.8)
         post = initial_state([lifted_model(ar1)], np.zeros((2, 7)))
         ingest(post, {0: {}, 1: {7: 0.0}})
         S = post.cov[:, 0].copy()
+        before = S.tobytes()
         assert S[0, 6].any()
         picks = _greedy(S, post.labels, [7, 6])
         order = select_nodes(initial_state(ar1), 6)
         assert picks == [[7] + order, order]
-        assert not S[0, 6].any() and not S[0, :, 6].any()
+        assert S.tobytes() == before
+        assert picks[0] == _greedy_one(S[0], post.labels[0], 7)
         for b in range(2):
             cond = post.cond(b)
             assert picks[b] == reference_picks(cond.cond_cov, cond.unknown_idx, len(picks[b]))

@@ -8,7 +8,7 @@ from unittest.mock import patch
 import numpy as np
 
 import gdas.validate as validate
-from gdas.access import delivered_law
+from gdas.access import delivered_law, stop_round_moments
 from gdas.experiments import (
     BANDIT_COLUMNS,
     ROUNDS_COLUMNS,
@@ -19,7 +19,8 @@ from gdas.experiments import (
     SweepPoint,
     SweepResult,
 )
-from gdas.validate import ROUNDS_ALOHA_WINDOW, _bound, _window
+from gdas.presets import RUN_PRESETS
+from gdas.validate import ROUNDS_ALOHA_WINDOW, ROUNDS_WINDOWS, _bound, _window
 
 
 def test_failed_budget_prints_the_negated_operator():
@@ -194,6 +195,54 @@ def test_round_counts_fail_with_the_rounds_rule_text():
         res = validate.check_round_counts()
     assert not res.passed
     assert res.detail.endswith("s < 30s; injected problem")
+
+
+def test_check_1_catches_a_stop_one_round_early_but_not_one_late():
+    # Check 1's power against an off-by-one stop round: under the exact law
+    # of the stop round (``stop_round_moments``) and a normal approximation
+    # of the mean of the preset's 500 runs, the chance that each mode's
+    # mean stop round falls outside its window when the program stops at
+    # kbar instead of 75.
+    def outside(kbar):
+        rates, edges = {}, {}
+        for label, scenario in RUN_PRESETS["rounds"]:
+            assert scenario.runs == 500 and scenario.kbar == 75
+            mean, sd = stop_round_moments(scenario.mode, scenario.K, scenario.N, scenario.p, kbar)
+            se = sd / math.sqrt(scenario.runs)
+            lo, hi = ROUNDS_WINDOWS[label]
+            below = 0.5 * math.erfc((mean - lo) / se / math.sqrt(2))
+            above = 0.5 * math.erfc((hi - mean) / se / math.sqrt(2))
+            rates[label], edges[label] = below + above, (lo - mean) / se
+        return rates, edges
+
+    # The correct program: ALOHA's lower edge is 1.79 SEs below its mean,
+    # so 3.7% of seeds fail; polling almost never does.
+    rates, edges = outside(75)
+    assert round(edges["aloha"], 2) == -1.79 and round(rates["aloha"], 3) == 0.037
+    assert rates["polling"] < 1e-9
+    # One round early: ALOHA fails 93.1% of seeds.
+    rates, _ = outside(74)
+    assert round(rates["aloha"], 3) == 0.931 and rates["polling"] < 1e-9
+    # One round late passes almost surely: ALOHA's lower edge sits 5.02
+    # SEs below its mean, polling's upper edge 6.9 SEs above.
+    rates, edges = outside(76)
+    assert round(edges["aloha"], 2) == -5.02
+    assert rates["aloha"] < 1e-6 and rates["polling"] < 1e-9
+
+
+def test_throughput_fails_when_collisions_count_as_deliveries():
+    # Check 2's power against an ALOHA round that delivers every responder,
+    # collided or not: the mean rises from ~1.6 to q p = 4 per round.
+    real = validate.aloha_round
+
+    def no_collisions(requested, n_channels, p, rng):
+        out = real(requested, n_channels, p, rng)
+        return replace(out, delivered=out.responders)
+
+    with patch.object(validate, "aloha_round", no_collisions):
+        res = validate.check_throughput()
+    assert not res.passed
+    assert "> 0.03" in res.detail
 
 
 def test_throughput_target_is_the_formula():
