@@ -12,11 +12,10 @@ Two conditioning paths are provided and must agree:
 
 * ``condition`` forms the Schur complement of the observed block from one
   Cholesky factorization and is the reference implementation,
-* ``rank_one_condition`` folds a round's observations into an existing
-  posterior with one O(d L^2) covariance downdate of rank d.  It is one
-  kernel over a stack of posteriors: the round loop folds each run's
-  deliveries into all of its models in place, and a ``ConditionalState`` is
-  copied into a stack of one on entry.
+* ``rank_one_condition`` folds a round's observations into a
+  ``PosteriorStack`` in place, with one O(d L^2) covariance downdate of
+  rank d: the round loop folds each run's deliveries into all of its
+  models, and a caller with one posterior folds into a stack of one run.
 """
 
 from __future__ import annotations
@@ -469,15 +468,15 @@ class PosteriorStack:
 
 
 def rank_one_condition(
-    state: ConditionalState | PosteriorStack,
+    post: PosteriorStack,
     node: int | Sequence[int],
     value: float | Sequence[float],
     *,
     absorb_degenerate: bool = False,
     run: int = 0,
     cols: np.ndarray | None = None,
-) -> ConditionalState | PosteriorStack:
-    """Fold the observations ``node = value`` into an existing posterior.
+) -> PosteriorStack:
+    """Fold the observations ``node = value`` into ``post``'s run ``run``.
 
     ``node`` and ``value`` are one label and value, or equal-length
     sequences.  One call is one blocked downdate: the nodes, taken in that
@@ -494,13 +493,12 @@ def rank_one_condition(
     nodes one call at a time, to within rounding.  It does not depend on
     the width or column layout of the stack it runs on.
 
-    A ``PosteriorStack`` is updated in place: the observations are folded
-    into every model of its run ``run``, and the stack is returned.  A
-    ``ConditionalState`` is copied into a stack of one, and the result is
-    that stack's new, compact ``ConditionalState``.  The labels are checked
+    The stack is updated in place: the observations are folded into every
+    model of run ``run``, and the stack is returned.  The labels are checked
     and resolved by ``PosteriorStack.positions``; ``cols``, when given, are
     the columns it returned for ``node`` in ``run``, which are then not
     looked up again (``ingest`` checks a whole round's labels at once).
+    A call that raises leaves the stack as it was.
 
     Raises ``DegenerateVarianceError`` when nu_l is at most
     ``DEGENERATE_VARIANCE_EPS`` under any of the run's models: the node is
@@ -510,7 +508,6 @@ def rank_one_condition(
     information about the others, so this equals conditioning it at its
     conditional mean.
     """
-    post = PosteriorStack([state]) if isinstance(state, ConditionalState) else state
     pos = post.positions(run, np.atleast_1d(node)) if cols is None else cols
     values = np.atleast_1d(np.asarray(value, dtype=float))
     if pos.shape != values.shape or pos.ndim != 1:
@@ -519,7 +516,7 @@ def rank_one_condition(
     vals = values.tolist()
     _fold(post.cov[run], post.mean[run], pos, vals, labels, absorb_degenerate)
     post._observe(run, pos, labels, vals)
-    return post if post is state else post.cond(run)
+    return post
 
 
 def build_ar1_model(K: int, rho: float) -> GaussianModel:

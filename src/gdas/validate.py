@@ -23,7 +23,7 @@ from .bandit import cost_ratio, new_bandit_state, prediction_error_terms, softma
 from .engine import TIE_TOLERANCE, ingest, initial_state, polling_order, select_nodes
 from .experiments import BanditResult, RunResult, SweepPoint, SweepResult
 from .experiments import _sampler, run_bandit_scenario, run_scenario, sweep
-from .models import GaussianModel, build_ar1_model, condition, rank_one_condition
+from .models import GaussianModel, build_ar1_model, condition
 from .presets import BANDIT_PRESETS, RUN_PRESETS, SWEEP_PRESETS
 
 DEFAULT_SEED = 20260808
@@ -227,7 +227,12 @@ def _random_psd_model(rng: np.random.Generator, k: int) -> GaussianModel:
 
 @_check("4 conditioning-equivalence")
 def check_conditioning_equivalence(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Incremental rank-one conditioning vs the batch solve: 200 random models, K<=50."""
+    """The round loop's fold vs the batch solve: 200 random models, K<=50.
+
+    Each model's observed nodes are ``ingest``ed into a one-run stack in
+    rounds of 1, 2, 3, 4, 1, ... nodes, so that the fold takes blocked
+    downdates and the stack compacts as it narrows, as in a simulation.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(200):
@@ -236,9 +241,13 @@ def check_conditioning_equivalence(seed: int = DEFAULT_SEED) -> tuple[bool, str]
         n_obs = int(rng.integers(1, k))
         order = rng.permutation(k)[:n_obs] + 1
         vals = rng.normal(0.0, 1.0, size=n_obs)
-        state = condition(model, [], [])
-        for node, value in zip(order, vals):
-            state = rank_one_condition(state, int(node), float(value))
+        post = initial_state([model])
+        start, size = 0, 1
+        while start < n_obs:
+            stop = start + size
+            ingest(post, {0: dict(zip(order[start:stop].tolist(), vals[start:stop].tolist()))})
+            start, size = stop, size % 4 + 1
+        state = post.cond(0)
         batch = condition(model, order, vals)
         worst = max(
             worst,
@@ -357,23 +366,25 @@ def check_mse_calibration(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 @_check("7 polling-order")
 def check_polling_order(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """The failure-free request order is one permutation, whatever x turns out to be."""
+    """The failure-free request order is one permutation, whatever x turns out to be.
+
+    The 100 realizations run as one block, as in a simulation: each step
+    picks one node for every run and ingests each run's value of it.
+    """
     model = build_ar1_model(100, 0.95)
     base = polling_order(model)
     if sorted(base) != list(range(1, 101)):
         return False, "order is not a permutation"
     rng = np.random.default_rng(seed)
     draw = _sampler(model)
+    x = np.stack([draw(rng) for _ in range(100)])
+    post = initial_state([model], x)
     for _ in range(100):
-        x = draw(rng)
-        st = initial_state(model, x)
-        seq = []
-        for _ in range(100):
-            node = select_nodes(st, 1)[0]
-            seq.append(node)
-            st = ingest(st, {node: float(x[node - 1])})
-        if seq != base:
-            return False, "request order varied with the realization"
+        picks = select_nodes(post, 1)
+        ingest(post, {b: {node: float(x[b, node - 1])} for b, (node,) in enumerate(picks)})
+    # Each step observes one node per run, so a run's log is its request order.
+    if any(seq != base for seq in post.observed):
+        return False, "request order varied with the realization"
     scaled = GaussianModel(mean=5.0 * model.mean, cov=model.cov)
     return polling_order(scaled) == base, "identical order across 100 realizations and under mean scaling"
 

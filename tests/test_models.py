@@ -153,23 +153,22 @@ class TestCondition:
 class TestRankOneCondition:
     def test_matches_scalar_example(self):
         model = build_ar1_model(3, 0.95)
-        state = condition(model, [], [])
-        state = rank_one_condition(state, 2, 0.0)
+        state = rank_one_condition(initial_state([model]), 2, 0.0).cond(0)
         np.testing.assert_allclose(np.diag(state.cond_cov), [0.0975, 0.0975], atol=1e-12)
 
     def test_last_unknown_leaves_empty_state(self):
         model = build_ar1_model(2, 0.5)
-        state = condition(model, [1], [0.0])
-        state = rank_one_condition(state, 2, 1.0)
+        post = PosteriorStack([condition(model, [1], [0.0])])
+        state = rank_one_condition(post, 2, 1.0).cond(0)
         assert state.unknown_idx.shape == (0,)
         assert state.cond_cov.shape == (0, 0)
         assert state.known_idx == (1, 2)
 
     def test_sequential_equals_batch(self):
         model = build_ar1_model(5, 0.95)
-        seq = condition(model, [], [])
-        seq = rank_one_condition(seq, 1, 0.4)
-        seq = rank_one_condition(seq, 2, -0.2)
+        post = initial_state([model])
+        rank_one_condition(post, 1, 0.4)
+        seq = rank_one_condition(post, 2, -0.2).cond(0)
         batch = condition(model, [1, 2], [0.4, -0.2])
         np.testing.assert_allclose(seq.cond_mean, batch.cond_mean, atol=1e-10)
         np.testing.assert_allclose(seq.cond_cov, batch.cond_cov, atol=1e-10)
@@ -181,12 +180,13 @@ class TestRankOneCondition:
             n_obs = int(rng.integers(1, k))
             order = rng.permutation(k)[:n_obs] + 1
             vals = rng.normal(size=n_obs)
-            state = condition(model, [], [])
+            post = initial_state([model])
             for node, value in zip(order, vals):
-                state = rank_one_condition(state, int(node), float(value))
+                rank_one_condition(post, int(node), float(value))
+            state = post.cond(0)
             # One call folding the whole sequence is one blocked downdate: it
             # regroups the sums, so it matches the chain to rounding.
-            folded = rank_one_condition(condition(model, [], []), order, vals)
+            folded = rank_one_condition(initial_state([model]), order, vals).cond(0)
             assert folded.known_idx == state.known_idx
             np.testing.assert_array_equal(folded.unknown_idx, state.unknown_idx)
             scale = 1e-12 * max(1.0, float(np.abs(model.cov).max()), float(np.abs(vals).max()))
@@ -201,22 +201,23 @@ class TestRankOneCondition:
         model = GaussianModel(mean=np.zeros(2), cov=np.ones((2, 2)))
         state = condition(model, [1], [0.3])
         assert state.cond_cov[0, 0] == pytest.approx(0.0, abs=1e-12)
+        post = PosteriorStack([state])
         with pytest.raises(DegenerateVarianceError):
-            rank_one_condition(state, 2, 0.3)
-        dropped = rank_one_condition(state, 2, 0.3, absorb_degenerate=True)
+            rank_one_condition(post, 2, 0.3)
+        dropped = rank_one_condition(post, 2, 0.3, absorb_degenerate=True).cond(0)
         assert dropped.unknown_idx.shape == (0,)
         assert dropped.known_idx == (1, 2)
 
     def test_unknown_node_label_rejected(self):
         model = build_ar1_model(3, 0.5)
-        state = condition(model, [2], [0.0])
+        post = PosteriorStack([condition(model, [2], [0.0])])
         with pytest.raises(ValueError, match="not in the unknown set"):
-            rank_one_condition(state, 2, 1.0)
+            rank_one_condition(post, 2, 1.0)
 
     def test_repeated_label_rejected(self):
-        state = condition(build_ar1_model(4, 0.5), [], [])
+        post = initial_state([build_ar1_model(4, 0.5)])
         with pytest.raises(ValueError, match="duplicate"):
-            rank_one_condition(state, [3, 1, 3], [0.0, 0.0, 0.0])
+            rank_one_condition(post, [3, 1, 3], [0.0, 0.0, 0.0])
 
     def test_positions_with_one_run_per_label(self):
         # A label may repeat across runs, not within one; each run's labels
@@ -258,14 +259,14 @@ def model_draw(model, rng):
 
 
 def assert_chain_matches_oracles(model, order, x, checkpoints):
-    """Fold ``order`` in by ``rank_one_condition``.  At each checkpoint
-    ``condition`` equals the ``cho_solve`` formulation, and the chain equals
-    ``condition``, within 1e-9 * scale."""
+    """Fold ``order`` into a one-run stack by ``rank_one_condition``.  At each
+    checkpoint ``condition`` equals the ``cho_solve`` formulation, and the
+    chain equals ``condition``, within 1e-9 * scale."""
     atol = 1e-9 * max(1.0, float(np.abs(model.cov).max()), float(np.abs(x).max()))
-    chain = condition(model, [], [])
+    post = initial_state([model])
     done = 0
     for n in checkpoints:
-        chain = rank_one_condition(chain, order[done:n], x[order[done:n] - 1])
+        chain = rank_one_condition(post, order[done:n], x[order[done:n] - 1]).cond(0)
         done = n
         oracle = condition(model, order[:n], x[order[:n] - 1])
         ref_mean, ref_cov = cho_solve_oracle(model, order[:n], x[order[:n] - 1])
@@ -301,8 +302,8 @@ class TestOracleAccuracy:
         np.testing.assert_allclose(state.cond_mean, [0.3, 0.3], rtol=0, atol=1e-9)
         np.testing.assert_allclose(state.cond_cov, np.zeros((2, 2)), rtol=0, atol=1e-9)
         chain = rank_one_condition(
-            condition(model, [], []), [1, 2], [0.3, 0.3], absorb_degenerate=True
-        )
+            initial_state([model]), [1, 2], [0.3, 0.3], absorb_degenerate=True
+        ).cond(0)
         np.testing.assert_allclose(chain.cond_mean, state.cond_mean, rtol=0, atol=1e-9)
         np.testing.assert_allclose(chain.cond_cov, state.cond_cov, rtol=0, atol=1e-9)
 
@@ -333,10 +334,11 @@ class TestOracleAccuracy:
     def test_stack_equals_oracle_on_random_delivery_slots(self, data):
         """The block path: each round folds random delivery slots of several
         runs into one ``PosteriorStack``, which compacts as runs narrow;
-        a run that leaves is named in no later ingest.  Every run's posterior under every model, and its compact
-        ``cond`` view, equals its own ``rank_one_condition`` chain bit for
-        bit and ``condition`` within 1e-9 * scale.  Near rank-3 family models
-        absorb degenerate nodes (so ``condition``, which uses the values, is
+        a run that leaves is named in no later ingest.  Every run's posterior
+        under every model, and its compact ``cond`` view, equals its own
+        ``rank_one_condition`` chain (a one-run stack per run and model) bit
+        for bit and ``condition`` within 1e-9 * scale.  Near rank-3 family
+        models absorb degenerate nodes (so ``condition``, which uses the values, is
         not their reference).  Every posterior of the stack stays exactly
         symmetric, which greedy selection relies on."""
         k = data.draw(st.integers(7, 200), label="K")
@@ -351,7 +353,7 @@ class TestOracleAccuracy:
         atol = 1e-9 * max(1.0, float(np.abs(x).max()))
         post = initial_state(models, x)
         assert np.array_equal(post.cov, post.cov.swapaxes(-1, -2))
-        chains = [[condition(model, [], []) for model in models] for _ in range(runs)]
+        chains = [[initial_state([model]) for model in models] for _ in range(runs)]
         order = [rng.permutation(k) + 1 for _ in range(runs)]
         done = [0] * runs
         playing = list(range(runs))
@@ -368,10 +370,9 @@ class TestOracleAccuracy:
                 vals = [payload[v] for v in nodes]
                 cols = post.columns(b)
                 for a, model in enumerate(models):
-                    chain = chains[b][a]
                     if nodes:
-                        chain = rank_one_condition(chain, nodes, vals, absorb_degenerate=True)
-                        chains[b][a] = chain
+                        rank_one_condition(chains[b][a], nodes, vals, absorb_degenerate=True)
+                    chain = chains[b][a].cond(0)
                     np.testing.assert_array_equal(post.labels[b, cols], chain.unknown_idx)
                     np.testing.assert_array_equal(post.mean[b, a, cols], chain.cond_mean)
                     np.testing.assert_array_equal(post.cov[b, a][np.ix_(cols, cols)], chain.cond_cov)
@@ -423,8 +424,8 @@ class TestOracleAccuracy:
         while sum(sizes) < k:
             sizes.append(int(rng.integers(1, 9)))
         scale = max(1.0, max(float(np.abs(m.cov).max()) for m in models), float(np.abs(x).max()))
-        blocked = [condition(model, [], []) for model in models]
-        chains = list(blocked)
+        blocked = [initial_state([model]) for model in models]
+        chains = [initial_state([model]) for model in models]
         nu_min = [np.inf] * len(models)
         mid_round = False
         done = 0
@@ -436,15 +437,15 @@ class TestOracleAccuracy:
                 first = first_determined(blocked[a], nodes, vals, blocked=True)
                 assert first == first_determined(chains[a], nodes, vals, blocked=False)
                 mid_round |= first not in (None, nodes[0])
-                blocked[a] = rank_one_condition(blocked[a], nodes, vals, absorb_degenerate=True)
+                rank_one_condition(blocked[a], nodes, vals, absorb_degenerate=True)
                 for v, value in zip(nodes, vals):
-                    chain = chains[a]
+                    chain = chains[a].cond(0)
                     l = int(np.searchsorted(chain.unknown_idx, v))
                     nu = chain.cond_cov[l, l]
                     if nu > DEGENERATE_VARIANCE_EPS:
                         nu_min[a] = min(nu_min[a], nu)
-                    chains[a] = rank_one_condition(chain, v, value, absorb_degenerate=True)
-                got, want = blocked[a], chains[a]
+                    rank_one_condition(chains[a], v, value, absorb_degenerate=True)
+                got, want = blocked[a].cond(0), chains[a].cond(0)
                 assert got.known_idx == want.known_idx
                 np.testing.assert_array_equal(got.unknown_idx, want.unknown_idx)
                 atol = 1e-12 * scale * max(1.0, float(np.abs(model.cov).max()) / nu_min[a])
@@ -477,7 +478,9 @@ class TestOracleAccuracy:
         priors = [condition(model, [], []) for model in models]
         if seen:
             priors = [
-                rank_one_condition(p, order[:seen], x[order[:seen] - 1], absorb_degenerate=True)
+                rank_one_condition(
+                    PosteriorStack([p]), order[:seen], x[order[:seen] - 1], absorb_degenerate=True
+                ).cond(0)
                 for p in priors
             ]
         nodes = sorted(order[seen : seen + data.draw(st.integers(1, k - seen))].tolist())
@@ -514,16 +517,18 @@ class TestOracleAccuracy:
         assert not post.mean[run][:, skipped].any()
 
 
-def first_determined(state, nodes, vals, *, blocked):
+def first_determined(post, nodes, vals, *, blocked):
     """The first of ``nodes`` that ``rank_one_condition`` finds determined
     (variance at most ``DEGENERATE_VARIANCE_EPS`` given the nodes before it),
-    folding them in one call or one call per node; None if there is none."""
+    folding them into a copy of ``post`` in one call or one call per node;
+    None if there is none."""
+    post = copy.deepcopy(post)
     try:
         if blocked:
-            rank_one_condition(state, nodes, vals)
+            rank_one_condition(post, nodes, vals)
         else:
             for v, value in zip(nodes, vals):
-                state = rank_one_condition(state, v, value)
+                rank_one_condition(post, v, value)
     except DegenerateVarianceError as exc:
         return int(re.search(r"node (\d+)", str(exc))[1])
     return None

@@ -7,6 +7,9 @@ from unittest.mock import patch
 
 import numpy as np
 
+import gdas.engine as engine
+import gdas.experiments as experiments
+import gdas.models as models
 import gdas.validate as validate
 from gdas.access import delivered_law, stop_round_moments
 from gdas.experiments import (
@@ -57,16 +60,39 @@ def test_window_report_says_in_or_outside():
 
 
 def test_conditioning_report_on_a_biased_update():
-    real = validate.rank_one_condition
+    # Check 4 folds through ``ingest``, which calls ``engine.rank_one_condition``.
+    real = engine.rank_one_condition
 
-    def biased(state, node, value):
-        out = real(state, node, value)
-        return replace(out, cond_mean=out.cond_mean + 1e-6)
+    def biased(post, node, value, *, run=0, **kwargs):
+        out = real(post, node, value, run=run, **kwargs)
+        out.mean[run][:, out.columns(run)] += 1e-6
+        return out
 
-    with patch.object(validate, "rank_one_condition", biased):
+    with patch.object(engine, "rank_one_condition", biased):
         res = validate.check_conditioning_equivalence()
     assert not res.passed
     assert "> 1e-8 over 200 models" in res.detail
+
+
+def test_conditioning_check_folds_blocks_and_compacts_as_the_round_loop_does():
+    # Check 4 tests the fold that ``ingest`` runs: blocked downdates of more
+    # than one node, and a stack that compacts as its run narrows.
+    real_fold, real_compact = models._fold, models.PosteriorStack.compact
+    nodes, narrowed = [], []
+
+    def fold(cov, mean, pos, *args):
+        nodes.append(pos.shape[0])
+        return real_fold(cov, mean, pos, *args)
+
+    def compact(post):
+        width = post.cov.shape[-1]
+        real_compact(post)
+        narrowed.append(post.cov.shape[-1] < width)
+
+    with patch.object(models, "_fold", fold), patch.object(models.PosteriorStack, "compact", compact):
+        res = validate.check_conditioning_equivalence()
+    assert res.passed
+    assert max(nodes) > 1 and any(narrowed)
 
 
 def test_greedy_report_when_picks_ignore_the_cost():
@@ -77,6 +103,43 @@ def test_greedy_report_when_picks_ignore_the_cost():
         res = validate.check_greedy_oracle()
     assert not res.passed
     assert "aggregate pair trace ratio" in res.detail and "> 1.05" in res.detail
+
+
+def test_polling_order_check_picks_through_the_block_kernel():
+    # Check 7 runs its 100 realizations as one block: each step is one
+    # ``_greedy`` call over all 100 runs.
+    real = engine._greedy
+    runs = []
+
+    def counted(S, labels, *args, **kwargs):
+        runs.append(labels.shape[0])
+        return real(S, labels, *args, **kwargs)
+
+    with patch.object(engine, "_greedy", counted):
+        res = validate.check_polling_order()
+    assert res.passed
+    assert runs == [100] * 100
+
+
+def test_polling_order_fails_when_the_first_pick_follows_the_target():
+    # Check 7's power against an order that depends on the realization: in
+    # the first step, each run whose target at node 50 lies above its prior
+    # mean takes its second greedy pick instead of its first.
+    real = validate.select_nodes
+
+    def peeking(post, q):
+        picks = real(post, q)
+        if not post.observed[0]:
+            # The first step: nothing is observed, so column 49 holds node 50.
+            seconds = real(post, 2)
+            above = (post.targets[:, 49] > post.mean[:, 0, 49]).tolist()
+            picks = [[two[1]] if up else one for one, two, up in zip(picks, seconds, above)]
+        return picks
+
+    with patch.object(validate, "select_nodes", peeking):
+        res = validate.check_polling_order()
+    assert not res.passed
+    assert res.detail == "request order varied with the realization"
 
 
 def test_calibration_report_with_too_few_runs():
@@ -145,6 +208,18 @@ def test_a_tie_breaks_no_crossover_rule():
     assert res.detail == (
         "p=0.2: aloha 0 vs polling 0 [untested: tie]; p=0.6: aloha 0 vs polling 0 [untested: tie]"
     )
+
+
+def test_crossover_fails_when_sweep_swaps_the_modes():
+    # Check 3's power against a sweep that runs each point's polling
+    # scenario as ALOHA and its ALOHA scenario as polling: every p is then
+    # scored in the wrong order.
+    real = experiments.run_scenario
+    swapped = {"polling": "aloha", "aloha": "polling"}
+    with patch.object(experiments, "run_scenario", lambda s: real(replace(s, mode=swapped[s.mode]))):
+        res = validate.check_crossover()
+    assert not res.passed
+    assert res.detail.count("[WRONG ORDER]") == 5, res.detail
 
 
 def test_n_sweep_rule_wants_a_strict_decrease_in_each_mode():
@@ -280,3 +355,16 @@ def test_bandit_rules_read_the_summary_columns():
     assert validate.mismatch_problems(res) == [
         "round 3: wrong-model error 0.5 below true-model MSE 1"
     ]
+
+
+def test_bandit_behavior_fails_when_arms_are_drawn_uniformly():
+    # Check 8's power against a bandit that ignores its costs: after the
+    # round-robin sweep it draws every arm with probability 1/M, so the true
+    # model does not lead through rounds 10..39 at tau = 1.
+    def uniform(state, t, rng):
+        return t + 1 if t < state.arms else int(rng.integers(state.arms)) + 1
+
+    with patch.object(experiments, "select_model", uniform):
+        res = validate.check_bandit_behavior()
+    assert not res.passed
+    assert "does not lead" in res.detail
