@@ -33,7 +33,7 @@ from .engine import (
     polling_order,
     select_nodes,
 )
-from .errors import DegenerateVarianceError, NumericalDegeneracyError
+from .errors import NumericalDegeneracyError
 from .experiments import (
     BanditResult,
     Rounds,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class RoundOutcome:
 
     requested: tuple[int, ...]
     responders: tuple[int, ...]
-    channel_choice: Mapping[int, int]
     delivered: tuple[int, ...]
     collided_channels: tuple[int, ...]
 
@@ -80,7 +79,6 @@ def polling_round(
     return RoundOutcome(
         requested=req,
         responders=responders,
-        channel_choice={},
         delivered=responders,
         collided_channels=(),
     )
@@ -108,7 +106,6 @@ def aloha_round(
     return RoundOutcome(
         requested=req,
         responders=responders,
-        channel_choice=dict(zip(responders, channels)),
         delivered=tuple(r for r, ch in zip(responders, channels) if load[ch] == 1),
         collided_channels=tuple(ch for ch, n in enumerate(load) if n >= 2),
     )

@@ -370,9 +370,7 @@ def ingest(
         start = 0
         for run, nodes, vals in folds:
             stop = start + len(nodes)
-            rank_one_condition(
-                post, nodes, vals, absorb_degenerate=True, run=run, cols=cols[start:stop]
-            )
+            rank_one_condition(post, nodes, vals, run=run, cols=cols[start:stop])
             start = stop
     post.compact()
     return state

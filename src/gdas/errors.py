@@ -3,7 +3,3 @@
 
 class NumericalDegeneracyError(ArithmeticError):
     """A covariance (sub)matrix is singular where the computation needs it invertible."""
-
-
-class DegenerateVarianceError(NumericalDegeneracyError):
-    """A conditional variance is effectively zero: the value is already determined."""

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, NumericalDegeneracyError
+from .errors import NumericalDegeneracyError
 
 # Below this conditional variance a node is considered already determined.
 DEGENERATE_VARIANCE_EPS = 1e-10
@@ -253,13 +253,11 @@ def _fold(
     mean: np.ndarray,
     pos: np.ndarray,
     values: Sequence[float],
-    labels: Sequence[int],
-    absorb_degenerate: bool,
-) -> None:
+) -> list[tuple[int, int]]:
     """Fold observations into one run's posteriors under M models, in place.
 
-    ``cov`` is (M, n, n) and ``mean`` (M, n); column ``pos[i]`` holds node
-    ``labels[i]``, observed at ``values[i]``.  The d observations are one
+    ``cov`` is (M, n, n) and ``mean`` (M, n); the node in column ``pos[i]``
+    is observed at ``values[i]``.  The d observations are one
     rank-d downdate of every model.  As in ``condition``, with the observed
     block C[P, P] = L L^T, the whitened rows
     W = [W_u | w_z] = L^{-1} [C[P, :] | values - mean[P]] give
@@ -272,7 +270,9 @@ def _fold(
     nu_k given them (reading the row as the column needs ``cov`` exactly
     symmetric, which a ``PosteriorStack`` keeps).  Where nu_k is at most
     ``DEGENERATE_VARIANCE_EPS`` under a model, the row is zero there, so
-    the node is absorbed, or ``DegenerateVarianceError`` is raised.
+    the node is absorbed: the model's posterior takes no update from it.
+    Returns the absorbed entries as ``(model, k)`` pairs, k indexing the
+    call's nodes, in order of k; the list is empty when none was absorbed.
 
     One einsum per row panel of ``PANEL_BYTES`` gives that panel's rows of
     W_u^T W = [W_u^T W_u | W_u^T w_z], so the update is two passes over each
@@ -283,7 +283,8 @@ def _fold(
     """
     M, n = mean.shape
     W = np.empty((M, pos.shape[0], n + 1))
-    for k, (l, v, label) in enumerate(zip(pos.tolist(), values, labels)):
+    absorbed = []
+    for k, (l, v) in enumerate(zip(pos.tolist(), values)):
         row = W[:, k]
         row[:, :n] = cov[:, l]
         np.subtract(v, mean[:, l], out=row[:, n])
@@ -292,11 +293,7 @@ def _fold(
         nu = row[:, l : l + 1].copy()
         if not all(x > DEGENERATE_VARIANCE_EPS for x in row[:, l].tolist()):
             bad = ~(nu[:, 0] > DEGENERATE_VARIANCE_EPS)
-            if not absorb_degenerate:
-                raise DegenerateVarianceError(
-                    f"conditional variance of node {label} is {nu[bad][0, 0]:.3e}; "
-                    "the value is already determined by the data"
-                )
+            absorbed += [(m, k) for m in bad.nonzero()[0].tolist()]
             # A zero row leaves that model's posterior as it is.
             row[bad] = 0.0
             nu[bad] = 1.0
@@ -313,6 +310,7 @@ def _fold(
         cov[:, l] = 0.0
         cov[:, :, l] = 0.0
         mean[:, l] = 0.0
+    return absorbed
 
 
 class PosteriorStack:
@@ -472,7 +470,6 @@ def rank_one_condition(
     node: int | Sequence[int],
     value: float | Sequence[float],
     *,
-    absorb_degenerate: bool = False,
     run: int = 0,
     cols: np.ndarray | None = None,
 ) -> PosteriorStack:
@@ -500,13 +497,11 @@ def rank_one_condition(
     looked up again (``ingest`` checks a whole round's labels at once).
     A call that raises leaves the stack as it was.
 
-    Raises ``DegenerateVarianceError`` when nu_l is at most
-    ``DEGENERATE_VARIANCE_EPS`` under any of the run's models: the node is
-    already determined.  With ``absorb_degenerate`` such a node is instead
-    removed from the unknown set without a covariance update under that
-    model: with a vanishing conditional variance it carries no new
-    information about the others, so this equals conditioning it at its
-    conditional mean.
+    A node whose nu_l is at most ``DEGENERATE_VARIANCE_EPS`` under one of
+    the run's models is already determined there: it leaves the unknown set
+    without a covariance or mean update under that model.  With a vanishing
+    conditional variance it carries no new information about the others,
+    so this equals conditioning it at its conditional mean.
     """
     pos = post.positions(run, np.atleast_1d(node)) if cols is None else cols
     values = np.atleast_1d(np.asarray(value, dtype=float))
@@ -514,7 +509,7 @@ def rank_one_condition(
         raise ValueError("node and value must have the same length")
     labels = post.labels[run][pos].tolist()
     vals = values.tolist()
-    _fold(post.cov[run], post.mean[run], pos, vals, labels, absorb_degenerate)
+    _fold(post.cov[run], post.mean[run], pos, vals)
     post._observe(run, pos, labels, vals)
     return post
 

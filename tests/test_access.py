@@ -1,5 +1,6 @@
 """Channel layer: uploading draws, polling/ALOHA rounds, closed forms."""
 
+import copy
 import importlib
 import itertools
 import math
@@ -23,6 +24,16 @@ from gdas.access import (
     stop_round_moments,
     uploading_probability,
 )
+
+
+def replay_channels(requested, n, p, rng):
+    """Each responder's channel in the ``aloha_round`` that ``rng`` plays
+    next, read off a copy of ``rng`` by replaying its documented draws: one
+    uniform per requested node, then one ``integers(1, n + 1)`` per
+    responder.  Keys are the responders, in request order."""
+    rng = copy.deepcopy(rng)
+    responders = list(itertools.compress(requested, (rng.random(len(requested)) < p).tolist()))
+    return dict(zip(responders, rng.integers(1, n + 1, size=len(responders)).tolist()))
 
 
 class TestUploadingProbability:
@@ -100,12 +111,14 @@ class TestAlohaRound:
 
     def test_outcome_containments(self, rng):
         for _ in range(200):
+            channel = replay_channels(list(range(1, 13)), 3, 0.4, rng)
             out = aloha_round(list(range(1, 13)), 3, 0.4, rng)
+            assert tuple(channel) == out.responders
             assert set(out.delivered) <= set(out.responders) <= set(out.requested)
             assert len(set(out.delivered)) == len(out.delivered)
             for node in out.delivered:
-                ch = out.channel_choice[node]
-                sharers = [r for r, c in out.channel_choice.items() if c == ch]
+                ch = channel[node]
+                sharers = [r for r, c in channel.items() if c == ch]
                 assert sharers == [node]
 
     def test_mean_deliveries_match_formula(self, rng):
@@ -139,15 +152,17 @@ class TestRoundProperties:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_outcomes_are_consistent(self, requested, n, p, seed):
-        out = aloha_round(requested, n, p, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        channel = replay_channels(requested, n, p, rng)
+        out = aloha_round(requested, n, p, rng)
         assert out.requested == tuple(requested)
         assert set(out.delivered) <= set(out.responders) <= set(requested)
         assert len(set(out.responders)) == len(out.responders)
-        assert set(out.channel_choice) == set(out.responders)
-        load = Counter(out.channel_choice.values())
+        assert tuple(channel) == out.responders
+        load = Counter(channel.values())
         assert all(1 <= ch <= n and load[ch] >= 2 for ch in out.collided_channels)
         assert set(out.collided_channels) == {ch for ch, k in load.items() if k >= 2}
-        sole = tuple(r for r in out.responders if load[out.channel_choice[r]] == 1)
+        sole = tuple(r for r in out.responders if load[channel[r]] == 1)
         assert out.delivered == sole
 
         rng = np.random.default_rng(seed)
@@ -155,11 +170,13 @@ class TestRoundProperties:
             with pytest.raises(ValueError, match="at most"):
                 polling_round(requested, n, p, rng)
             return
+        responders = tuple(replay_channels(requested, n, p, rng))
         out = polling_round(requested, n, p, rng)
+        assert out.responders == responders
         assert set(out.responders) <= set(requested)
         assert len(set(out.responders)) == len(out.responders)
         assert out.delivered == out.responders
-        assert out.collided_channels == () and out.channel_choice == {}
+        assert out.collided_channels == ()
 
 
 def _aloha_delivered_law(q: int, n: int, p: float) -> np.ndarray:

@@ -3,7 +3,6 @@
 import copy
 import functools
 import operator
-import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve
 
 from gdas.engine import ingest, initial_state
-from gdas.errors import DegenerateVarianceError, NumericalDegeneracyError
+from gdas.errors import NumericalDegeneracyError
 from gdas.models import (
     DEGENERATE_VARIANCE_EPS,
     GaussianModel,
@@ -23,6 +22,7 @@ from gdas.models import (
     condition,
     dct_matrix,
     rank_one_condition,
+    _fold,
     _spd_cholesky,
 )
 
@@ -196,17 +196,39 @@ class TestRankOneCondition:
             np.testing.assert_allclose(state.cond_mean, batch.cond_mean, atol=1e-8)
             np.testing.assert_allclose(state.cond_cov, batch.cond_cov, atol=1e-8)
 
-    def test_degenerate_variance_raises(self):
+    def test_a_determined_node_is_absorbed(self):
         # Perfectly correlated pair: observing one pins the other.
         model = GaussianModel(mean=np.zeros(2), cov=np.ones((2, 2)))
         state = condition(model, [1], [0.3])
         assert state.cond_cov[0, 0] == pytest.approx(0.0, abs=1e-12)
         post = PosteriorStack([state])
-        with pytest.raises(DegenerateVarianceError):
-            rank_one_condition(post, 2, 0.3)
-        dropped = rank_one_condition(post, 2, 0.3, absorb_degenerate=True).cond(0)
+        assert first_determined(post, [2], [0.3], blocked=True) == 2
+        dropped = rank_one_condition(post, 2, 0.3).cond(0)
         assert dropped.unknown_idx.shape == (0,)
         assert dropped.known_idx == (1, 2)
+
+    def test_fold_absorbs_a_node_only_under_the_model_that_pins_it(self, rng):
+        # Node 3 has zero prior variance under model A, so it is determined
+        # there from the start; model B is well conditioned.
+        k, node, value = 5, 3, 0.7
+        model_b = random_psd_model(rng, k)
+        a = rng.standard_normal((k, 2 * k))
+        a[node - 1] = 0.0
+        model_a = GaussianModel(mean=rng.normal(size=k), cov=a @ a.T / (2 * k))
+        stack = PosteriorStack([condition(model_b, [], []), condition(model_a, [], [])])
+        pos = stack.positions(0, [node])
+        assert _fold(stack.cov[0], stack.mean[0], pos, [value]) == [(1, 0)]
+        stack._observe(0, pos, [node], [value])
+        scale = max(1.0, float(np.abs(model_b.cov).max()), abs(value))
+        want = condition(model_b, [node], [value])
+        got = stack.cond(0, 0)
+        np.testing.assert_array_equal(got.unknown_idx, want.unknown_idx)
+        np.testing.assert_allclose(got.cond_mean, want.cond_mean, rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(got.cond_cov, want.cond_cov, rtol=0, atol=1e-9 * scale)
+        cov, mean = model_a.cov.copy(), model_a.mean.copy()
+        cov[node - 1] = cov[:, node - 1] = mean[node - 1] = 0.0
+        np.testing.assert_array_equal(stack.cov[0, 1], cov)
+        np.testing.assert_array_equal(stack.mean[0, 1], mean)
 
     def test_unknown_node_label_rejected(self):
         model = build_ar1_model(3, 0.5)
@@ -301,9 +323,7 @@ class TestOracleAccuracy:
         np.testing.assert_allclose(state.cond_cov, ref_cov, rtol=0, atol=1e-9)
         np.testing.assert_allclose(state.cond_mean, [0.3, 0.3], rtol=0, atol=1e-9)
         np.testing.assert_allclose(state.cond_cov, np.zeros((2, 2)), rtol=0, atol=1e-9)
-        chain = rank_one_condition(
-            initial_state([model]), [1, 2], [0.3, 0.3], absorb_degenerate=True
-        ).cond(0)
+        chain = rank_one_condition(initial_state([model]), [1, 2], [0.3, 0.3]).cond(0)
         np.testing.assert_allclose(chain.cond_mean, state.cond_mean, rtol=0, atol=1e-9)
         np.testing.assert_allclose(chain.cond_cov, state.cond_cov, rtol=0, atol=1e-9)
 
@@ -371,7 +391,7 @@ class TestOracleAccuracy:
                 cols = post.columns(b)
                 for a, model in enumerate(models):
                     if nodes:
-                        rank_one_condition(chains[b][a], nodes, vals, absorb_degenerate=True)
+                        rank_one_condition(chains[b][a], nodes, vals)
                     chain = chains[b][a].cond(0)
                     np.testing.assert_array_equal(post.labels[b, cols], chain.unknown_idx)
                     np.testing.assert_array_equal(post.mean[b, a, cols], chain.cond_mean)
@@ -437,14 +457,14 @@ class TestOracleAccuracy:
                 first = first_determined(blocked[a], nodes, vals, blocked=True)
                 assert first == first_determined(chains[a], nodes, vals, blocked=False)
                 mid_round |= first not in (None, nodes[0])
-                rank_one_condition(blocked[a], nodes, vals, absorb_degenerate=True)
+                rank_one_condition(blocked[a], nodes, vals)
                 for v, value in zip(nodes, vals):
                     chain = chains[a].cond(0)
                     l = int(np.searchsorted(chain.unknown_idx, v))
                     nu = chain.cond_cov[l, l]
                     if nu > DEGENERATE_VARIANCE_EPS:
                         nu_min[a] = min(nu_min[a], nu)
-                    rank_one_condition(chains[a], v, value, absorb_degenerate=True)
+                    rank_one_condition(chains[a], v, value)
                 got, want = blocked[a].cond(0), chains[a].cond(0)
                 assert got.known_idx == want.known_idx
                 np.testing.assert_array_equal(got.unknown_idx, want.unknown_idx)
@@ -478,15 +498,13 @@ class TestOracleAccuracy:
         priors = [condition(model, [], []) for model in models]
         if seen:
             priors = [
-                rank_one_condition(
-                    PosteriorStack([p]), order[:seen], x[order[:seen] - 1], absorb_degenerate=True
-                ).cond(0)
+                rank_one_condition(PosteriorStack([p]), order[:seen], x[order[:seen] - 1]).cond(0)
                 for p in priors
             ]
         nodes = sorted(order[seen : seen + data.draw(st.integers(1, k - seen))].tolist())
         vals = [float(x[v - 1]) for v in nodes]
         alone = PosteriorStack(priors)
-        rank_one_condition(alone, nodes, vals, absorb_degenerate=True)
+        rank_one_condition(alone, nodes, vals)
 
         u = k - seen
         width = u + data.draw(st.integers(0, 40), label="padding")
@@ -505,7 +523,7 @@ class TestOracleAccuracy:
         post.mean[run][:, cols] = compact[1]
         post.labels[run, cols] = compact[2]
         post.where[run, compact[2]] = cols
-        rank_one_condition(post, nodes, vals, absorb_degenerate=True, run=run)
+        rank_one_condition(post, nodes, vals, run=run)
 
         for a in range(len(models)):
             got, want = post.cond(run, a), alone.cond(0, a)
@@ -518,19 +536,18 @@ class TestOracleAccuracy:
 
 
 def first_determined(post, nodes, vals, *, blocked):
-    """The first of ``nodes`` that ``rank_one_condition`` finds determined
-    (variance at most ``DEGENERATE_VARIANCE_EPS`` given the nodes before it),
-    folding them into a copy of ``post`` in one call or one call per node;
-    None if there is none."""
+    """The first of ``nodes`` that ``_fold`` absorbs in run 0 of a copy of
+    ``post`` (variance at most ``DEGENERATE_VARIANCE_EPS`` given the nodes
+    before it), folding them in one call or one call per node; None if
+    there is none."""
     post = copy.deepcopy(post)
-    try:
-        if blocked:
-            rank_one_condition(post, nodes, vals)
-        else:
-            for v, value in zip(nodes, vals):
-                rank_one_condition(post, v, value)
-    except DegenerateVarianceError as exc:
-        return int(re.search(r"node (\d+)", str(exc))[1])
+    calls = [(nodes, vals)] if blocked else [([v], [value]) for v, value in zip(nodes, vals)]
+    for part, values in calls:
+        pos = post.positions(0, part)
+        absorbed = _fold(post.cov[0], post.mean[0], pos, values)
+        if absorbed:
+            return part[absorbed[0][1]]
+        post._observe(0, pos, part, values)
     return None
 
 
